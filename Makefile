@@ -1,6 +1,6 @@
 # Convenience aliases; `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build test check bench bench-connections clean
+.PHONY: all build test check bench bench-connections paper-io clean
 
 all: build
 
@@ -14,6 +14,11 @@ check: build test
 
 bench:
 	dune exec bench/main.exe
+
+# Physical-I/O tables of the reduced Fig. 13/15/17 runs, compared
+# exactly with the committed golden file (test/paper_io_gate.sh).
+paper-io:
+	test/paper_io_gate.sh
 
 # Connection-scaling sweep of the reactor event core (needs a high fd
 # soft limit; levels above the limit are skipped with a note).

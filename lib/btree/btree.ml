@@ -11,8 +11,6 @@ let compare_keys (a : key) (b : key) =
   in
   go 0
 
-let equal_keys a b = compare_keys a b = 0
-
 (* ------------------------------------------------------------------ *)
 (* Page layout.
 
@@ -86,12 +84,27 @@ let free_page t pid =
   t.free_head <- pid
 
 (* ------------------------------------------------------------------ *)
-(* Node codec *)
+(* In-place page access.
 
-type node =
-  | Leaf of { keys : key array; next : int }
-  | Node of { keys : key array; children : int array }
-      (* |children| = |keys| + 1 *)
+   The common operations work directly on the pinned page bytes: a
+   descent bisects each page where it lies, an insert or delete that
+   neither splits nor underflows shifts entries inside the leaf, and a
+   cursor copies its leaf into a buffer it owns. Bytes from the pool are
+   only valid while pinned, so nothing here keeps them past the
+   [with_page] that produced them. Only splits, borrows and merges —
+   about one per [leaf_cap / 2] updates — decode whole pages into
+   {!node}s and encode them back. *)
+
+let with_page t pid ~dirty f = Storage.Buffer_pool.with_page t.pool pid ~dirty f
+
+let is_leaf buf = Bytes.get_uint8 buf 0 = 0
+let nkeys buf = Bytes.get_uint16_be buf 2
+let leaf_stride t = 8 * t.key_width
+let node_stride t = (8 * t.key_width) + 8
+let entry_off stride i = header_size + (i * stride)
+
+(* Leaf: the next leaf. Internal node: the child left of every key. *)
+let link buf = get_i64 buf 8
 
 let read_key t buf off =
   Array.init t.key_width (fun i -> get_i64 buf (off + (8 * i)))
@@ -101,46 +114,79 @@ let write_key t buf off (k : key) =
     set_i64 buf (off + (8 * i)) k.(i)
   done
 
-let leaf_stride t = 8 * t.key_width
-let node_stride t = (8 * t.key_width) + 8
+(* Compare the key stored at [off] with [probe] from component [i] on,
+   without decoding it. *)
+let rec compare_from buf off (probe : key) i =
+  if i = Array.length probe then 0
+  else
+    let c = Int.compare (get_i64 buf (off + (8 * i))) probe.(i) in
+    if c <> 0 then c else compare_from buf off probe (i + 1)
 
-let read_node t pid =
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
-      let tag = Char.code (Bytes.get buf 0) in
-      let nkeys = Bytes.get_uint16_be buf 2 in
-      if tag = 0 then
-        let stride = leaf_stride t in
-        let keys =
-          Array.init nkeys (fun i ->
-              read_key t buf (header_size + (i * stride)))
-        in
-        Leaf { keys; next = get_i64 buf 8 }
-      else
-        let stride = node_stride t in
-        let keys =
-          Array.init nkeys (fun i ->
-              read_key t buf (header_size + (i * stride)))
-        in
-        let children =
-          Array.init (nkeys + 1) (fun i ->
-              if i = 0 then get_i64 buf 8
-              else
-                get_i64 buf
-                  (header_size + ((i - 1) * stride) + (8 * t.key_width)))
-        in
-        Node { keys; children })
+let compare_at buf off probe = compare_from buf off probe 0
+
+(* First entry index in [0, n) whose key is >= [probe] ([~strict:false])
+   or > [probe] ([~strict:true], the child slot of an internal node).
+   Entry [i] starts at byte [first + i * stride]. *)
+let bisect buf ~first ~stride ~n ~strict probe =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = compare_at buf (first + (mid * stride)) probe in
+    if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Child [slot] of an internal node: child 0 sits in the header, child
+   [i + 1] right after key [i]. *)
+let child_at t buf slot =
+  if slot = 0 then link buf
+  else get_i64 buf (entry_off (node_stride t) (slot - 1) + (8 * t.key_width))
+
+(* Make room for entry [pos] of a page holding [n] entries; returns its
+   offset. The caller checked that the page has room. *)
+let open_gap buf ~stride ~n pos =
+  let off = entry_off stride pos in
+  Bytes.blit buf off buf (off + stride) ((n - pos) * stride);
+  Bytes.set_uint16_be buf 2 (n + 1);
+  off
+
+let close_gap buf ~stride ~n pos =
+  let off = entry_off stride pos in
+  Bytes.blit buf (off + stride) buf off ((n - pos - 1) * stride);
+  Bytes.set_uint16_be buf 2 (n - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Node codec, for splits, rebalancing, bulk loading and checking *)
+
+type node =
+  | Leaf of { keys : key array; next : int }
+  | Node of { keys : key array; children : int array }
+      (* |children| = |keys| + 1 *)
+
+let decode t buf =
+  let n = nkeys buf in
+  if is_leaf buf then
+    let stride = leaf_stride t in
+    Leaf
+      { keys = Array.init n (fun i -> read_key t buf (entry_off stride i));
+        next = link buf }
+  else
+    let stride = node_stride t in
+    Node
+      { keys = Array.init n (fun i -> read_key t buf (entry_off stride i));
+        children = Array.init (n + 1) (child_at t buf) }
+
+let read_node t pid = with_page t pid ~dirty:false (decode t)
 
 let write_node t pid node =
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:true (fun buf ->
+  with_page t pid ~dirty:true (fun buf ->
       match node with
       | Leaf { keys; next } ->
           Bytes.set buf 0 '\000';
           Bytes.set_uint16_be buf 2 (Array.length keys);
           set_i64 buf 8 next;
           let stride = leaf_stride t in
-          Array.iteri
-            (fun i k -> write_key t buf (header_size + (i * stride)) k)
-            keys
+          Array.iteri (fun i k -> write_key t buf (entry_off stride i) k) keys
       | Node { keys; children } ->
           Bytes.set buf 0 '\001';
           Bytes.set_uint16_be buf 2 (Array.length keys);
@@ -148,7 +194,7 @@ let write_node t pid node =
           let stride = node_stride t in
           Array.iteri
             (fun i k ->
-              let off = header_size + (i * stride) in
+              let off = entry_off stride i in
               write_key t buf off k;
               set_i64 buf (off + (8 * t.key_width)) children.(i + 1))
             keys)
@@ -206,42 +252,34 @@ let open_existing pool ~meta_page =
 (* ------------------------------------------------------------------ *)
 (* Search *)
 
-(* First index with keys.(i) >= probe. *)
-let bisect_left keys probe =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys keys.(mid) probe < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* First index with keys.(i) > probe, i.e. the child slot for [probe]. *)
-let bisect_right keys probe =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys keys.(mid) probe <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 let check_width t k =
   if Array.length k <> t.key_width then
     invalid_arg
       (Printf.sprintf "Btree: key width %d, expected %d" (Array.length k)
          t.key_width)
 
+(* Internal pages are bisected in place; -1 marks the leaf. *)
 let rec find_leaf t pid probe =
-  match read_node t pid with
-  | Leaf _ -> pid
-  | Node { keys; children } -> find_leaf t children.(bisect_right keys probe) probe
+  let child =
+    with_page t pid ~dirty:false (fun buf ->
+        if is_leaf buf then -1
+        else
+          child_at t buf
+            (bisect buf ~first:header_size ~stride:(node_stride t)
+               ~n:(nkeys buf) ~strict:true probe))
+  in
+  if child < 0 then pid else find_leaf t child probe
+
+(* Position of [k] in a leaf page, and whether the entry there is [k]. *)
+let leaf_search t buf k =
+  let n = nkeys buf and stride = leaf_stride t in
+  let pos = bisect buf ~first:header_size ~stride ~n ~strict:false k in
+  (pos, pos < n && compare_at buf (entry_off stride pos) k = 0)
 
 let mem t k =
   check_width t k;
-  match read_node t (find_leaf t t.root k) with
-  | Leaf { keys; _ } ->
-      let pos = bisect_left keys k in
-      pos < Array.length keys && equal_keys keys.(pos) k
-  | Node _ -> assert false
+  with_page t (find_leaf t t.root k) ~dirty:false (fun buf ->
+      snd (leaf_search t buf k))
 
 (* ------------------------------------------------------------------ *)
 (* Array editing helpers *)
@@ -260,53 +298,75 @@ let remove_at arr pos =
 
 type ins_result = Done | Duplicate | Split of key * int
 
+(* What an insert learns from one read of a page. Only a full page can
+   split, so only a full page is decoded. *)
+type ins_step =
+  | Present
+  | Leaf_room of int  (* entry position for the new key *)
+  | Node_room of int * int  (* child slot, child page *)
+  | Full of int * node  (* entry position or child slot, decoded page *)
+
+let ins_step t buf k =
+  let n = nkeys buf in
+  if is_leaf buf then
+    let pos, found = leaf_search t buf k in
+    if found then Present
+    else if n < t.leaf_cap then Leaf_room pos
+    else Full (pos, decode t buf)
+  else
+    let slot =
+      bisect buf ~first:header_size ~stride:(node_stride t) ~n ~strict:true k
+    in
+    if n < t.node_cap then Node_room (slot, child_at t buf slot)
+    else Full (slot, decode t buf)
+
 let rec ins t pid k =
-  match read_node t pid with
-  | Leaf { keys; next } ->
-      let pos = bisect_left keys k in
-      if pos < Array.length keys && equal_keys keys.(pos) k then Duplicate
-      else
-        let keys = insert_at keys pos k in
-        if Array.length keys <= t.leaf_cap then begin
-          write_node t pid (Leaf { keys; next });
-          Done
-        end
-        else begin
-          let mid = Array.length keys / 2 in
-          let left = Array.sub keys 0 mid in
-          let right = Array.sub keys mid (Array.length keys - mid) in
-          let new_pid = alloc_page t in
-          write_node t new_pid (Leaf { keys = right; next });
-          write_node t pid (Leaf { keys = left; next = new_pid });
-          Split (right.(0), new_pid)
-        end
-  | Node { keys; children } -> (
-      let slot = bisect_right keys k in
+  match with_page t pid ~dirty:false (fun buf -> ins_step t buf k) with
+  | Present -> Duplicate
+  | Leaf_room pos ->
+      with_page t pid ~dirty:true (fun buf ->
+          let stride = leaf_stride t in
+          write_key t buf (open_gap buf ~stride ~n:(nkeys buf) pos) k);
+      Done
+  | Full (pos, Leaf { keys; next }) ->
+      let keys = insert_at keys pos k in
+      let mid = Array.length keys / 2 in
+      let left = Array.sub keys 0 mid in
+      let right = Array.sub keys mid (Array.length keys - mid) in
+      let new_pid = alloc_page t in
+      write_node t new_pid (Leaf { keys = right; next });
+      write_node t pid (Leaf { keys = left; next = new_pid });
+      Split (right.(0), new_pid)
+  | Node_room (slot, child) -> (
+      match ins t child k with
+      | (Done | Duplicate) as r -> r
+      | Split (sep, new_child) ->
+          with_page t pid ~dirty:true (fun buf ->
+              let off =
+                open_gap buf ~stride:(node_stride t) ~n:(nkeys buf) slot
+              in
+              write_key t buf off sep;
+              set_i64 buf (off + (8 * t.key_width)) new_child);
+          Done)
+  | Full (slot, Node { keys; children }) -> (
       match ins t children.(slot) k with
       | (Done | Duplicate) as r -> r
       | Split (sep, new_child) ->
           let keys = insert_at keys slot sep in
           let children = insert_at children (slot + 1) new_child in
-          if Array.length keys <= t.node_cap then begin
-            write_node t pid (Node { keys; children });
-            Done
-          end
-          else begin
-            (* Promote the middle separator. *)
-            let mid = Array.length keys / 2 in
-            let promoted = keys.(mid) in
-            let lkeys = Array.sub keys 0 mid in
-            let rkeys = Array.sub keys (mid + 1) (Array.length keys - mid - 1)
-            in
-            let lchildren = Array.sub children 0 (mid + 1) in
-            let rchildren =
-              Array.sub children (mid + 1) (Array.length children - mid - 1)
-            in
-            let new_pid = alloc_page t in
-            write_node t new_pid (Node { keys = rkeys; children = rchildren });
-            write_node t pid (Node { keys = lkeys; children = lchildren });
-            Split (promoted, new_pid)
-          end)
+          (* Promote the middle separator. *)
+          let mid = Array.length keys / 2 in
+          let promoted = keys.(mid) in
+          let lkeys = Array.sub keys 0 mid in
+          let rkeys = Array.sub keys (mid + 1) (Array.length keys - mid - 1) in
+          let lchildren = Array.sub children 0 (mid + 1) in
+          let rchildren =
+            Array.sub children (mid + 1) (Array.length children - mid - 1)
+          in
+          let new_pid = alloc_page t in
+          write_node t new_pid (Node { keys = rkeys; children = rchildren });
+          write_node t pid (Node { keys = lkeys; children = lchildren });
+          Split (promoted, new_pid))
 
 let insert t k =
   check_width t k;
@@ -339,148 +399,184 @@ let node_size = function
 (* Rebalance [children.(slot)] of the internal node [pid] after a
    deletion left it under-full. Siblings share the parent, so a borrow
    rotates one entry through the parent separator and a merge removes
-   the separator. *)
-let fix_underflow t pid slot =
+   the separator. Returns the parent's new key count. *)
+let rebalance t pid slot =
   match read_node t pid with
   | Leaf _ -> assert false
-  | Node { keys; children } -> (
+  | Node { keys; children } ->
       let child_pid = children.(slot) in
       let child = read_node t child_pid in
       let min_size =
         match child with Leaf _ -> leaf_min t | Node _ -> node_min t
       in
-      if node_size child >= min_size then ()
-      else
-        let borrow_from_left l =
-          (* l = slot - 1 *)
-          let left_pid = children.(l) in
-          match (read_node t left_pid, child) with
-          | Leaf lf, Leaf cf ->
-              let n = Array.length lf.keys in
-              let moved = lf.keys.(n - 1) in
-              write_node t left_pid
-                (Leaf { keys = Array.sub lf.keys 0 (n - 1); next = lf.next });
-              write_node t child_pid
-                (Leaf { keys = insert_at cf.keys 0 moved; next = cf.next });
-              write_node t pid
-                (Node { keys = (let ks = Array.copy keys in ks.(l) <- moved; ks);
-                        children })
-          | Node ln, Node cn ->
-              let n = Array.length ln.keys in
-              let new_sep = ln.keys.(n - 1) in
-              let moved_child = ln.children.(n) in
-              write_node t left_pid
-                (Node { keys = Array.sub ln.keys 0 (n - 1);
-                        children = Array.sub ln.children 0 n });
-              write_node t child_pid
-                (Node { keys = insert_at cn.keys 0 keys.(l);
-                        children = insert_at cn.children 0 moved_child });
-              write_node t pid
-                (Node
-                   { keys = (let ks = Array.copy keys in ks.(l) <- new_sep; ks);
-                     children })
-          | _ -> assert false
-        in
-        let borrow_from_right () =
-          let right_pid = children.(slot + 1) in
-          match (read_node t right_pid, child) with
-          | Leaf rf, Leaf cf ->
-              let moved = rf.keys.(0) in
-              write_node t right_pid
-                (Leaf { keys = remove_at rf.keys 0; next = rf.next });
-              write_node t child_pid
-                (Leaf
-                   { keys = insert_at cf.keys (Array.length cf.keys) moved;
-                     next = cf.next });
-              write_node t pid
-                (Node
-                   { keys =
-                       (let ks = Array.copy keys in
-                        ks.(slot) <- rf.keys.(1);
-                        ks);
-                     children })
-          | Node rn, Node cn ->
-              let moved_child = rn.children.(0) in
-              let new_sep = rn.keys.(0) in
-              write_node t right_pid
-                (Node { keys = remove_at rn.keys 0;
-                        children = remove_at rn.children 0 });
-              write_node t child_pid
-                (Node
-                   { keys = insert_at cn.keys (Array.length cn.keys) keys.(slot);
-                     children =
-                       insert_at cn.children (Array.length cn.children)
-                         moved_child });
-              write_node t pid
-                (Node
-                   { keys =
-                       (let ks = Array.copy keys in
-                        ks.(slot) <- new_sep;
-                        ks);
-                     children })
-          | _ -> assert false
-        in
-        let merge_with_right l =
-          (* Merge children.(l) and children.(l+1) into children.(l),
-             dropping separator keys.(l). *)
-          let left_pid = children.(l) and right_pid = children.(l + 1) in
-          (match (read_node t left_pid, read_node t right_pid) with
-          | Leaf lf, Leaf rf ->
-              write_node t left_pid
-                (Leaf { keys = Array.append lf.keys rf.keys; next = rf.next })
-          | Node ln, Node rn ->
-              write_node t left_pid
-                (Node
-                   { keys =
-                       Array.concat [ ln.keys; [| keys.(l) |]; rn.keys ];
-                     children = Array.append ln.children rn.children })
-          | _ -> assert false);
-          free_page t right_pid;
-          write_node t pid
-            (Node { keys = remove_at keys l; children = remove_at children (l + 1) })
-        in
-        let left_ok =
-          slot > 0 && node_size (read_node t children.(slot - 1)) > min_size
-        in
-        let right_ok =
-          slot < Array.length keys
-          && node_size (read_node t children.(slot + 1)) > min_size
-        in
-        if left_ok then borrow_from_left (slot - 1)
-        else if right_ok then borrow_from_right ()
-        else if slot > 0 then merge_with_right (slot - 1)
-        else merge_with_right slot)
-
-let rec del t pid k =
-  match read_node t pid with
-  | Leaf { keys; next } ->
-      let pos = bisect_left keys k in
-      if pos < Array.length keys && equal_keys keys.(pos) k then begin
-        write_node t pid (Leaf { keys = remove_at keys pos; next });
-        true
+      let borrow_from_left l =
+        (* l = slot - 1 *)
+        let left_pid = children.(l) in
+        match (read_node t left_pid, child) with
+        | Leaf lf, Leaf cf ->
+            let n = Array.length lf.keys in
+            let moved = lf.keys.(n - 1) in
+            write_node t left_pid
+              (Leaf { keys = Array.sub lf.keys 0 (n - 1); next = lf.next });
+            write_node t child_pid
+              (Leaf { keys = insert_at cf.keys 0 moved; next = cf.next });
+            write_node t pid
+              (Node { keys = (let ks = Array.copy keys in ks.(l) <- moved; ks);
+                      children })
+        | Node ln, Node cn ->
+            let n = Array.length ln.keys in
+            let new_sep = ln.keys.(n - 1) in
+            let moved_child = ln.children.(n) in
+            write_node t left_pid
+              (Node { keys = Array.sub ln.keys 0 (n - 1);
+                      children = Array.sub ln.children 0 n });
+            write_node t child_pid
+              (Node { keys = insert_at cn.keys 0 keys.(l);
+                      children = insert_at cn.children 0 moved_child });
+            write_node t pid
+              (Node
+                 { keys = (let ks = Array.copy keys in ks.(l) <- new_sep; ks);
+                   children })
+        | _ -> assert false
+      in
+      let borrow_from_right () =
+        let right_pid = children.(slot + 1) in
+        match (read_node t right_pid, child) with
+        | Leaf rf, Leaf cf ->
+            let moved = rf.keys.(0) in
+            write_node t right_pid
+              (Leaf { keys = remove_at rf.keys 0; next = rf.next });
+            write_node t child_pid
+              (Leaf
+                 { keys = insert_at cf.keys (Array.length cf.keys) moved;
+                   next = cf.next });
+            write_node t pid
+              (Node
+                 { keys =
+                     (let ks = Array.copy keys in
+                      ks.(slot) <- rf.keys.(1);
+                      ks);
+                   children })
+        | Node rn, Node cn ->
+            let moved_child = rn.children.(0) in
+            let new_sep = rn.keys.(0) in
+            write_node t right_pid
+              (Node { keys = remove_at rn.keys 0;
+                      children = remove_at rn.children 0 });
+            write_node t child_pid
+              (Node
+                 { keys = insert_at cn.keys (Array.length cn.keys) keys.(slot);
+                   children =
+                     insert_at cn.children (Array.length cn.children)
+                       moved_child });
+            write_node t pid
+              (Node
+                 { keys =
+                     (let ks = Array.copy keys in
+                      ks.(slot) <- new_sep;
+                      ks);
+                   children })
+        | _ -> assert false
+      in
+      let merge_with_right l =
+        (* Merge children.(l) and children.(l+1) into children.(l),
+           dropping separator keys.(l). *)
+        let left_pid = children.(l) and right_pid = children.(l + 1) in
+        (match (read_node t left_pid, read_node t right_pid) with
+        | Leaf lf, Leaf rf ->
+            write_node t left_pid
+              (Leaf { keys = Array.append lf.keys rf.keys; next = rf.next })
+        | Node ln, Node rn ->
+            write_node t left_pid
+              (Node
+                 { keys =
+                     Array.concat [ ln.keys; [| keys.(l) |]; rn.keys ];
+                   children = Array.append ln.children rn.children })
+        | _ -> assert false);
+        free_page t right_pid;
+        write_node t pid
+          (Node { keys = remove_at keys l; children = remove_at children (l + 1) })
+      in
+      let n = Array.length keys in
+      let left_ok =
+        slot > 0 && node_size (read_node t children.(slot - 1)) > min_size
+      in
+      let right_ok =
+        slot < n && node_size (read_node t children.(slot + 1)) > min_size
+      in
+      if left_ok then (borrow_from_left (slot - 1); n)
+      else if right_ok then (borrow_from_right (); n)
+      else begin
+        merge_with_right (if slot > 0 then slot - 1 else slot);
+        n - 1
       end
-      else false
-  | Node { keys; children } ->
-      let slot = bisect_right keys k in
-      let removed = del t children.(slot) k in
-      if removed then fix_underflow t pid slot;
-      removed
+
+(* After a deletion under [children.(slot)] of [pid]: rebalance if the
+   child is [under]-full, and return the parent's new key count. When
+   nothing needs fixing the parent and the child are still read, as a
+   rebalance would read them first: the pool's recency order, and so
+   every later eviction, follows this access sequence. *)
+let fix_underflow t pid slot ~under =
+  if under then rebalance t pid slot
+  else begin
+    let n, child_pid =
+      with_page t pid ~dirty:false (fun buf -> (nkeys buf, child_at t buf slot))
+    in
+    with_page t child_pid ~dirty:false ignore;
+    n
+  end
+
+(* What a delete learns from one read of a page. *)
+type del_step = Missing | Leaf_hit of int | Node_child of int * int
+
+(* [del t pid k] is [None] if [k] is absent, else whether page [pid] is
+   under-full after the removal. *)
+let rec del t pid k =
+  let step =
+    with_page t pid ~dirty:false (fun buf ->
+        if is_leaf buf then
+          let pos, found = leaf_search t buf k in
+          if found then Leaf_hit pos else Missing
+        else
+          let slot =
+            bisect buf ~first:header_size ~stride:(node_stride t)
+              ~n:(nkeys buf) ~strict:true k
+          in
+          Node_child (slot, child_at t buf slot))
+  in
+  match step with
+  | Missing -> None
+  | Leaf_hit pos ->
+      let n =
+        with_page t pid ~dirty:true (fun buf ->
+            let n = nkeys buf in
+            close_gap buf ~stride:(leaf_stride t) ~n pos;
+            n - 1)
+      in
+      Some (n < leaf_min t)
+  | Node_child (slot, child) -> (
+      match del t child k with
+      | None -> None
+      | Some under -> Some (fix_underflow t pid slot ~under < node_min t))
 
 let delete t k =
   check_width t k;
-  let removed = del t t.root k in
+  let removed = del t t.root k <> None in
   if removed then begin
     t.count <- t.count - 1;
     (* Collapse the root while it is an internal node with one child. *)
     let rec collapse () =
-      match read_node t t.root with
-      | Node { keys = [||]; children } ->
-          let old = t.root in
-          t.root <- children.(0);
-          t.height <- t.height - 1;
-          free_page t old;
-          collapse ()
-      | Node _ | Leaf _ -> ()
+      let only_child =
+        with_page t t.root ~dirty:false (fun buf ->
+            if is_leaf buf || nkeys buf > 0 then -1 else link buf)
+      in
+      if only_child >= 0 then begin
+        let old = t.root in
+        t.root <- only_child;
+        t.height <- t.height - 1;
+        free_page t old;
+        collapse ()
+      end
     in
     collapse ();
     sync_meta t
@@ -504,25 +600,36 @@ let hi_pad t prefix =
   Array.init t.key_width (fun i ->
       if i < Array.length p then p.(i) else max_int)
 
+(* A cursor owns a copy of its current leaf's entries, so the leaf may
+   be evicted (and its frame reused) while the scan is in progress; keys
+   are decoded one at a time as [next] returns them. Without the page
+   header the copy stays below the minor heap's object limit on 2 KB
+   pages, so a cursor costs no major-heap allocation. *)
 type cursor = {
   tree : t;
   mutable hi : key;
-  mutable buf : key array;
+  entries : Bytes.t;
+  mutable n : int;  (* entries in [entries] *)
   mutable pos : int;
   mutable next_leaf : int;
   mutable exhausted : bool;
 }
 
+let load_leaf c pid =
+  with_page c.tree pid ~dirty:false (fun buf ->
+      let n = nkeys buf in
+      Bytes.blit buf header_size c.entries 0 (n * leaf_stride c.tree);
+      c.n <- n;
+      c.pos <- 0;
+      c.next_leaf <- link buf)
+
 let do_reset c ~lo ~hi =
-  let leaf = find_leaf c.tree c.tree.root lo in
-  match read_node c.tree leaf with
-  | Leaf { keys; next } ->
-      c.hi <- hi;
-      c.buf <- keys;
-      c.pos <- bisect_left keys lo;
-      c.next_leaf <- next;
-      c.exhausted <- false
-  | Node _ -> assert false
+  let t = c.tree in
+  load_leaf c (find_leaf t t.root lo);
+  c.hi <- hi;
+  c.pos <-
+    bisect c.entries ~first:0 ~stride:(leaf_stride t) ~n:c.n ~strict:false lo;
+  c.exhausted <- false
 
 let reset c ~lo ~hi =
   check_width c.tree lo;
@@ -535,36 +642,33 @@ let reset c ~lo ~hi =
 
 let cursor t ~lo ~hi =
   let c =
-    { tree = t; hi; buf = [||]; pos = 0; next_leaf = -1; exhausted = true }
+    { tree = t; hi; entries = Bytes.create (t.leaf_cap * leaf_stride t);
+      n = 0; pos = 0; next_leaf = -1; exhausted = true }
   in
   reset c ~lo ~hi;
   c
 
 let rec next c =
   if c.exhausted then None
-  else if c.pos < Array.length c.buf then begin
-    let k = c.buf.(c.pos) in
-    if compare_keys k c.hi > 0 then begin
+  else if c.pos < c.n then begin
+    let off = c.pos * leaf_stride c.tree in
+    if compare_at c.entries off c.hi > 0 then begin
       c.exhausted <- true;
       None
     end
     else begin
       c.pos <- c.pos + 1;
-      Some k
+      Some (read_key c.tree c.entries off)
     end
   end
   else if c.next_leaf < 0 then begin
     c.exhausted <- true;
     None
   end
-  else
-    match read_node c.tree c.next_leaf with
-    | Leaf { keys; next = nl } ->
-        c.buf <- keys;
-        c.pos <- 0;
-        c.next_leaf <- nl;
-        next c
-    | Node _ -> assert false
+  else begin
+    load_leaf c c.next_leaf;
+    next c
+  end
 
 let iter_range t ~lo ~hi f =
   let c = cursor t ~lo ~hi in
@@ -599,11 +703,14 @@ let min_key t =
 let max_key t =
   (* Descend along the rightmost spine. *)
   let rec go pid =
-    match read_node t pid with
-    | Leaf { keys; _ } ->
-        if Array.length keys = 0 then None
-        else Some keys.(Array.length keys - 1)
-    | Node { children; _ } -> go children.(Array.length children - 1)
+    let child, last =
+      with_page t pid ~dirty:false (fun buf ->
+          let n = nkeys buf in
+          if not (is_leaf buf) then (child_at t buf n, None)
+          else if n = 0 then (-1, None)
+          else (-1, Some (read_key t buf (entry_off (leaf_stride t) (n - 1)))))
+    in
+    if child < 0 then last else go child
   in
   go t.root
 

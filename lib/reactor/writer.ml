@@ -40,6 +40,11 @@ let rec flush t ~now =
   | None ->
       t.progress_at <- now;
       Drained
+  | Some c when c.off = Bytes.length c.data ->
+      (* An empty frame: write(2) of 0 bytes returns 0, which would read
+         as "socket full" forever. *)
+      ignore (Queue.pop t.q);
+      flush t ~now
   | Some c -> (
       let len = Bytes.length c.data - c.off in
       match Unix.write t.w_fd c.data c.off len with

@@ -1,24 +1,33 @@
 exception Corrupt_page of int
 
 type frame = {
-  page_id : int;
-  data : Bytes.t;
+  mutable page_id : int;
+  mutable data : Bytes.t;
   mutable dirty : bool;
   mutable logged : bool;    (* current content already imaged in the journal *)
   mutable pins : int;
   mutable last_use : int;   (* recency stamp; victim selection under Scan *)
   mutable prev : frame;     (* intrusive LRU ring; self-linked = off-ring *)
   mutable next : frame;
+  mutable chain : frame;    (* next frame in the same bucket; [lru] ends it *)
 }
 
 type policy = Ring | Scan
 
+(* Resident frames are found through an intrusive chained hash table:
+   [buckets] has as many slots as [Hashtbl.create (2 * capacity)] would,
+   the same hash picks a page's bucket, and a new frame goes to the front
+   of its chain. Iteration (flush, commit, clear) therefore visits frames
+   in exactly the order a [Hashtbl] would, while a miss at capacity
+   recycles the victim's record and buffer and allocates nothing. *)
 type t = {
   dev : Block_device.t;
   capacity : int;
   policy : policy;
   checksums : bool;
-  frames : (int, frame) Hashtbl.t; (* page id -> frame *)
+  buckets : frame array;
+  mutable resident : int;
+  mutable spare : Bytes.t; (* the buffer the next fault reads into *)
   lru : frame; (* ring sentinel: [lru.next] is MRU, [lru.prev] is LRU *)
   mutable pinned : int; (* frames with pins > 0 *)
   mutable journal : Journal.t option;
@@ -36,7 +45,7 @@ type t = {
 let ring_sentinel () =
   let rec s =
     { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
-      pins = 0; last_use = 0; prev = s; next = s }
+      pins = 0; last_use = 0; prev = s; next = s; chain = s }
   in
   s
 
@@ -58,13 +67,55 @@ let ring_push_mru t f =
   t.lru.next.prev <- f;
   t.lru.next <- f
 
+(* ---- frame table ---- *)
+
+let bucket t page_id = Hashtbl.hash page_id land (Array.length t.buckets - 1)
+
+(* The frame of [page_id] on the chain from [f], or the sentinel [lru].
+   Chain walks are top-level functions, not closures, so a lookup
+   allocates nothing. *)
+let rec chain_find lru page_id f =
+  if f == lru || f.page_id = page_id then f else chain_find lru page_id f.chain
+
+let find t page_id = chain_find t.lru page_id t.buckets.(bucket t page_id)
+
+let add t f =
+  let b = bucket t f.page_id in
+  f.chain <- t.buckets.(b);
+  t.buckets.(b) <- f;
+  t.resident <- t.resident + 1
+
+let rec chain_unlink f prev =
+  if prev.chain == f then prev.chain <- f.chain else chain_unlink f prev.chain
+
+let remove t f =
+  let b = bucket t f.page_id in
+  if t.buckets.(b) == f then t.buckets.(b) <- f.chain
+  else chain_unlink f t.buckets.(b);
+  f.chain <- t.lru;
+  t.resident <- t.resident - 1
+
+let iter_frames t fn =
+  Array.iter
+    (fun head ->
+      let rec go f =
+        if f != t.lru then begin
+          fn f;
+          go f.chain
+        end
+      in
+      go head)
+    t.buckets
+
 let create ?(capacity = 200) ?(policy = Ring) ?(checksums = false) dev =
   if capacity < 1 then
     invalid_arg "Buffer_pool.create: capacity must be positive";
-  { dev; capacity; policy; checksums; frames = Hashtbl.create (2 * capacity);
-    lru = ring_sentinel (); pinned = 0; journal = None; staged_commits = 0;
-    commit_batches = 0; clock = 0; logical_reads = 0; hits = 0; misses = 0;
-    evictions = 0 }
+  let rec slots n = if n >= 2 * capacity then n else slots (2 * n) in
+  let lru = ring_sentinel () in
+  { dev; capacity; policy; checksums; buckets = Array.make (slots 16) lru;
+    resident = 0; spare = Bytes.create (Block_device.block_size dev); lru;
+    pinned = 0; journal = None; staged_commits = 0; commit_batches = 0;
+    clock = 0; logical_reads = 0; hits = 0; misses = 0; evictions = 0 }
 
 let attach_journal t j = t.journal <- Some j
 let journal t = t.journal
@@ -106,7 +157,7 @@ let verify t page_id data =
   end
 
 let capacity t = t.capacity
-let cached t = Hashtbl.length t.frames
+let cached t = t.resident
 let pinned_frames t = t.pinned
 
 let touch t frame =
@@ -162,101 +213,115 @@ let evict_one t =
         let f = t.lru.prev in
         if f == t.lru then all_pinned () else f
     | Scan ->
-        if t.pinned >= Hashtbl.length t.frames then all_pinned ();
-        let best =
-          Hashtbl.fold
-            (fun _ f acc ->
-              if f.pins > 0 then acc
-              else
-                match acc with
-                | Some best when best.last_use <= f.last_use -> acc
-                | _ -> Some f)
-            t.frames None
-        in
-        (match best with Some f -> f | None -> all_pinned ())
+        if t.pinned >= t.resident then all_pinned ();
+        let best = ref t.lru in
+        iter_frames t (fun f ->
+            if f.pins = 0 && (!best == t.lru || f.last_use < !best.last_use)
+            then best := f);
+        if !best == t.lru then all_pinned () else !best
   in
   write_back t victim;
   ring_remove victim;
-  Hashtbl.remove t.frames victim.page_id;
+  remove t victim;
   t.evictions <- t.evictions + 1;
-  Obs.Counters.incr_pool_eviction ()
+  Obs.Counters.incr_pool_eviction ();
+  victim
 
-let install t page_id data dirty ~pins =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
-  let rec frame =
-    { page_id; data; dirty; logged = false; pins; last_use = 0;
-      prev = frame; next = frame }
+(* Install [t.spare], holding page [page_id], as a resident frame. At
+   capacity the LRU victim is evicted and its record and buffer are
+   reused: the victim's bytes become the next spare, so a full pool
+   faults pages in without allocating. *)
+let install t page_id ~dirty ~pins =
+  let data = t.spare in
+  let frame =
+    if t.resident >= t.capacity then begin
+      let f = evict_one t in
+      t.spare <- f.data;
+      f
+    end
+    else begin
+      t.spare <- Bytes.create (dev_size t);
+      let rec f =
+        { page_id; data; dirty; logged = false; pins; last_use = 0;
+          prev = f; next = f; chain = t.lru }
+      in
+      f
+    end
   in
+  frame.page_id <- page_id;
+  frame.data <- data;
+  frame.dirty <- dirty;
+  frame.logged <- false;
+  frame.pins <- pins;
   touch t frame;
   if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t frame;
-  Hashtbl.replace t.frames page_id frame;
+  add t frame;
   frame
 
 let alloc t =
   let id = Block_device.alloc t.dev in
-  let frame = install t id (Bytes.make (dev_size t) '\000') true ~pins:0 in
-  ignore frame;
+  Bytes.fill t.spare 0 (Bytes.length t.spare) '\000';
+  ignore (install t id ~dirty:true ~pins:0);
   id
 
 let fault_in t page_id =
-  let data = Bytes.create (dev_size t) in
-  Block_device.read t.dev page_id data;
+  Block_device.read t.dev page_id t.spare;
   (* Verify before installing: a corrupt block must never enter the
      cache as if it were valid data. *)
-  verify t page_id data;
-  let frame = install t page_id data false ~pins:1 in
-  frame.data
+  verify t page_id t.spare;
+  (install t page_id ~dirty:false ~pins:1).data
 
 let pin t page_id =
   t.logical_reads <- t.logical_reads + 1;
-  match Hashtbl.find_opt t.frames page_id with
-  | Some frame ->
-      t.hits <- t.hits + 1;
-      Obs.Counters.incr_pool_hit ();
-      if frame.pins = 0 then begin
-        (* Pinned frames live off the ring: they can never be reached by
-           the eviction path, whatever the replacement pressure. *)
-        ring_remove frame;
-        t.pinned <- t.pinned + 1
-      end;
-      frame.pins <- frame.pins + 1;
-      touch t frame;
-      frame.data
-  | None ->
-      t.misses <- t.misses + 1;
-      Obs.Counters.incr_pool_miss ();
-      (* The span (and its info string) must cost nothing when tracing
-         is off: faults dominate cold scans, so even one allocation per
-         miss shows up in bench-storage. *)
-      if Obs.Trace.enabled () then
-        Obs.Trace.with_span "pool.fault"
-          ~info:(string_of_int page_id)
-          (fun () -> fault_in t page_id)
-      else fault_in t page_id
+  let frame = find t page_id in
+  if frame != t.lru then begin
+    t.hits <- t.hits + 1;
+    Obs.Counters.incr_pool_hit ();
+    if frame.pins = 0 then begin
+      (* Pinned frames live off the ring: they can never be reached by
+         the eviction path, whatever the replacement pressure. *)
+      ring_remove frame;
+      t.pinned <- t.pinned + 1
+    end;
+    frame.pins <- frame.pins + 1;
+    touch t frame;
+    frame.data
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    Obs.Counters.incr_pool_miss ();
+    (* The span (and its info string) must cost nothing when tracing
+       is off: faults dominate cold scans, so even one allocation per
+       miss shows up in bench-storage. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span "pool.fault"
+        ~info:(string_of_int page_id)
+        (fun () -> fault_in t page_id)
+    else fault_in t page_id
+  end
 
 let unpin t page_id ~dirty =
-  match Hashtbl.find_opt t.frames page_id with
-  | Some frame when frame.pins > 0 ->
-      frame.pins <- frame.pins - 1;
-      if dirty then begin
-        frame.dirty <- true;
-        (* Content (presumably) changed: any journaled image is stale. *)
-        frame.logged <- false
-      end;
-      if frame.pins = 0 then begin
-        t.pinned <- t.pinned - 1;
-        ring_push_mru t frame;
-        touch t frame
-      end
-  | Some _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Buffer_pool.unpin: page %d is not pinned (double unpin)" page_id)
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Buffer_pool.unpin: page %d is not resident (evicted, or never \
-            pinned)" page_id)
+  let frame = find t page_id in
+  if frame == t.lru then
+    invalid_arg
+      (Printf.sprintf
+         "Buffer_pool.unpin: page %d is not resident (evicted, or never \
+          pinned)" page_id);
+  if frame.pins = 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Buffer_pool.unpin: page %d is not pinned (double unpin)" page_id);
+  frame.pins <- frame.pins - 1;
+  if dirty then begin
+    frame.dirty <- true;
+    (* Content (presumably) changed: any journaled image is stale. *)
+    frame.logged <- false
+  end;
+  if frame.pins = 0 then begin
+    t.pinned <- t.pinned - 1;
+    ring_push_mru t frame;
+    touch t frame
+  end
 
 let with_page t page_id ~dirty f =
   let data = pin t page_id in
@@ -272,23 +337,22 @@ let with_page t page_id ~dirty f =
       (try unpin t page_id ~dirty with _ -> ());
       Printexc.raise_with_backtrace e bt
 
-let flush t = Hashtbl.iter (fun _ f -> write_back t f) t.frames
+let flush t = iter_frames t (write_back t)
 
 let reset_frames t =
-  Hashtbl.reset t.frames;
+  Array.fill t.buckets 0 (Array.length t.buckets) t.lru;
+  t.resident <- 0;
   t.lru.prev <- t.lru;
   t.lru.next <- t.lru;
   t.pinned <- 0
 
 let clear t =
-  Hashtbl.iter
-    (fun _ f ->
+  iter_frames t (fun f ->
       if f.pins > 0 then
         failwith
           (Printf.sprintf "Buffer_pool.clear: page %d is still pinned"
              f.page_id);
-      write_back t f)
-    t.frames;
+      write_back t f);
   reset_frames t
 
 (* ---- commit & group commit ----
@@ -302,9 +366,7 @@ let clear t =
    the lazy write-back policy) from being re-logged batch after batch. *)
 
 let log_dirty t =
-  Hashtbl.iter
-    (fun _ f -> if f.dirty && not f.logged then log_write t f)
-    t.frames
+  iter_frames t (fun f -> if f.dirty && not f.logged then log_write t f)
 
 let commit_request t = t.staged_commits <- t.staged_commits + 1
 
@@ -332,13 +394,11 @@ let commit t =
 
 let crash ?(force = false) t =
   if not force then
-    Hashtbl.iter
-      (fun _ f ->
+    iter_frames t (fun f ->
         if f.pins > 0 then
           failwith
             (Printf.sprintf "Buffer_pool.crash: page %d is still pinned"
-               f.page_id))
-      t.frames;
+               f.page_id));
   t.staged_commits <- 0;
   (* Log bytes appended but never forced die with the machine. *)
   (match t.journal with Some j -> Journal.drop_unforced j | None -> ());

@@ -13,7 +13,14 @@
     eviction path can never reach it), and a pinned-frame count detects
     pool exhaustion without a scan. The pre-overhaul O(capacity)
     fold-based victim search is retained as the {!policy} [Scan] solely
-    as the baseline [rikit bench-storage] measures the ring against. *)
+    as the baseline [rikit bench-storage] measures the ring against.
+
+    Frames are recycled: a miss at capacity reads the block into the
+    buffer of the frame it evicts, so a full pool allocates nothing on a
+    pin, hit or miss. Hence the one rule every caller follows: {b the
+    bytes returned by {!pin} (or passed to {!with_page}'s function) are
+    valid only until the matching {!unpin}}. After it the same buffer
+    may hold another page; copy out whatever must outlive the pin. *)
 
 type t
 
@@ -54,8 +61,10 @@ val pin : t -> int -> Bytes.t
     from the device if necessary. The page cannot be evicted until every
     {!pin} is matched by an {!unpin}. Mutating the returned bytes is
     allowed; pass [~dirty:true] to the matching unpin so the mutation
-    survives eviction. On checksummed pools the buffer is the full
-    device block; only the first {!block_size} bytes are the caller's.
+    survives eviction. The bytes are valid only until that unpin: the
+    frame is then free to be refilled with another page. On checksummed
+    pools the buffer is the full device block; only the first
+    {!block_size} bytes are the caller's.
     @raise Failure if every frame is pinned (pool exhausted).
     @raise Corrupt_page if the faulted-in block fails verification.
     @raise Block_device.Io_error on an injected transient read fault. *)
@@ -69,7 +78,8 @@ val unpin : t -> int -> dirty:bool -> unit
 
 val with_page : t -> int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
 (** [with_page t id ~dirty f] pins, applies [f], and unpins (also on
-    exception). If [f] raises and the unpin then fails too, the
+    exception). [f] must not let the bytes escape: they are valid only
+    while it runs. If [f] raises and the unpin then fails too, the
     exception of [f] — not the unpin's — is the one re-raised. *)
 
 val flush : t -> unit

@@ -249,6 +249,244 @@ let test_min_max () =
   check (Alcotest.option (Alcotest.list Alcotest.int)) "max" (Some [ 100 ])
     (Option.map list_of_key (Btree.max_key t))
 
+(* ---- in-place pages on a tiny pool ----
+
+   Descents, leaf updates and cursors work on pinned page bytes, and a
+   pool of 4-8 frames recycles a frame on nearly every pin, so these
+   tests catch any use of page bytes after their unpin. *)
+
+let page_size = 256
+
+let leaf_cap width = (page_size - 16) / (8 * width)
+
+let tiny_pool frames = mk_pool ~block_size:page_size ~capacity:frames ()
+
+let keys_of t = List.map list_of_key (Btree.to_list t)
+
+(* Drain a cursor from its current position. *)
+let drain c =
+  let rec go acc =
+    match Btree.next c with Some k -> go (list_of_key k :: acc) | None -> acc
+  in
+  List.rev (go [])
+
+let model_range model lo hi =
+  let lo = list_of_key lo and hi = list_of_key hi in
+  KeySet.elements (KeySet.filter (fun k -> k >= lo && k <= hi) model)
+
+type op =
+  | Ins of Btree.key
+  | Del of Btree.key
+  | Range of Btree.key * Btree.key
+  | Reset of Btree.key * Btree.key  (* reposition one long-lived cursor *)
+
+let show_key k = String.concat "," (List.map string_of_int (list_of_key k))
+
+let show_op = function
+  | Ins k -> "+" ^ show_key k
+  | Del k -> "-" ^ show_key k
+  | Range (lo, hi) -> Printf.sprintf "range(%s..%s)" (show_key lo) (show_key hi)
+  | Reset (lo, hi) -> Printf.sprintf "reset(%s..%s)" (show_key lo) (show_key hi)
+
+(* Each component comes from a domain sized so that about 2000 keys
+   exist at every width: inserts and deletes collide often, and trees
+   still grow to three or four levels on 256-byte pages. *)
+let gen_case =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun width ->
+  int_range 4 8 >>= fun frames ->
+  let dom = [| 2000; 45; 13; 7 |].(width - 1) in
+  let key = array_size (return width) (int_range 0 (dom - 1)) in
+  let bounds =
+    map2
+      (fun a b -> if Btree.compare_keys a b <= 0 then (a, b) else (b, a))
+      key key
+  in
+  let op ~ins ~del =
+    frequency
+      [ (ins, map (fun k -> Ins k) key);
+        (del, map (fun k -> Del k) key);
+        (1, map (fun (lo, hi) -> Range (lo, hi)) bounds);
+        (1, map (fun (lo, hi) -> Reset (lo, hi)) bounds) ]
+  in
+  let batch =
+    oneof
+      [ list_size (int_range 0 400) (op ~ins:8 ~del:1);  (* grow: splits *)
+        list_size (int_range 0 400) (op ~ins:1 ~del:8);  (* shrink: merges *)
+        list_size (int_range 0 100) (op ~ins:3 ~del:3) ]
+  in
+  list_size (int_range 1 6) batch >|= fun batches -> (width, frames, batches)
+
+let print_case (width, frames, batches) =
+  Printf.sprintf "width %d, %d frames:\n%s" width frames
+    (String.concat "\n"
+       (List.map (fun b -> String.concat " " (List.map show_op b)) batches))
+
+let prop_in_place_model =
+  QCheck.Test.make ~count:40
+    ~name:"insert/delete/range/reset on a 4-8 frame pool = sorted set"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (width, frames, batches) ->
+      let t = Btree.create (tiny_pool frames) ~key_width:width in
+      let lo0 = Btree.lo_pad t [] and hi0 = Btree.hi_pad t [] in
+      let c = Btree.cursor t ~lo:lo0 ~hi:hi0 in
+      let model = ref KeySet.empty in
+      let step = function
+        | Ins k ->
+            let fresh = not (KeySet.mem (list_of_key k) !model) in
+            model := KeySet.add (list_of_key k) !model;
+            Btree.insert t k = fresh
+        | Del k ->
+            let present = KeySet.mem (list_of_key k) !model in
+            model := KeySet.remove (list_of_key k) !model;
+            Btree.delete t k = present
+        | Range (lo, hi) ->
+            List.map list_of_key (Btree.range_list t ~lo ~hi)
+            = model_range !model lo hi
+        | Reset (lo, hi) ->
+            Btree.reset c ~lo ~hi;
+            drain c = model_range !model lo hi
+      in
+      List.for_all
+        (fun batch ->
+          List.for_all step batch
+          && begin
+               Btree.check_invariants t;
+               Btree.count t = KeySet.cardinal !model
+               && keys_of t = KeySet.elements !model
+             end)
+        batches)
+
+(* Walk the leaf-full, split, borrow and merge boundaries one key at a
+   time, at every width, on a 4-frame pool. *)
+let test_leaf_boundaries () =
+  for width = 1 to 4 do
+    let t = Btree.create (tiny_pool 4) ~key_width:width in
+    let key i = Array.init width (fun j -> if j = width - 1 then i else j) in
+    let cap = leaf_cap width in
+    for i = 1 to cap do
+      ignore (Btree.insert t (key i))
+    done;
+    Btree.check_invariants t;
+    check Alcotest.int "full leaf, not split" 1 (Btree.page_count t);
+    ignore (Btree.insert t (key (cap + 1)));
+    Btree.check_invariants t;
+    check Alcotest.int "split: two leaves and a root" 3 (Btree.page_count t);
+    check Alcotest.int "split: height 2" 2 (Btree.height t);
+    (* Delete from the left leaf, smallest key first. Without borrowing
+       it would merge as soon as it fell below half; borrowing from the
+       right sibling postpones the merge by at least one delete. *)
+    let left = (cap + 1) / 2 and half = cap / 2 in
+    let d = ref 0 in
+    while Btree.page_count t > 1 do
+      incr d;
+      check Alcotest.bool "present" true (Btree.delete t (key !d));
+      Btree.check_invariants t
+    done;
+    check Alcotest.bool "borrowed before merging" true
+      (!d > left - half + 1);
+    check Alcotest.int "merged: height 1" 1 (Btree.height t);
+    check
+      (Alcotest.list (Alcotest.list Alcotest.int))
+      "survivors"
+      (List.init (cap + 1 - !d) (fun i -> list_of_key (key (!d + 1 + i))))
+      (keys_of t)
+  done
+
+(* The same boundaries one level up: grow until an internal node splits
+   (height 3), then shrink until internal nodes have borrowed and merged
+   back down to a single leaf. *)
+let test_node_boundaries () =
+  for width = 1 to 4 do
+    let t = Btree.create (tiny_pool 4) ~key_width:width in
+    let key i = Array.make width i in
+    let n = ref 0 in
+    while Btree.height t < 3 do
+      incr n;
+      ignore (Btree.insert t (key !n));
+      Btree.check_invariants t
+    done;
+    let heights = ref [ 3 ] in
+    for i = 1 to !n do
+      ignore (Btree.delete t (key i));
+      Btree.check_invariants t;
+      if Btree.height t <> List.hd !heights then
+        heights := Btree.height t :: !heights
+    done;
+    check (Alcotest.list Alcotest.int) "height 3 -> 2 -> 1" [ 1; 2; 3 ]
+      !heights;
+    check Alcotest.int "empty" 0 (Btree.count t)
+  done
+
+(* A cursor owns a copy of its leaf: when the leaf is evicted mid-scan
+   and its frame refilled with other pages, the scan must go on with the
+   right keys. *)
+let test_cursor_leaf_evicted () =
+  let pool = tiny_pool 4 in
+  let t = Btree.create pool ~key_width:2 in
+  let other = Btree.create pool ~key_width:1 in
+  for i = 0 to 499 do
+    ignore (Btree.insert t [| i; -i |]);
+    ignore (Btree.insert other [| i |])
+  done;
+  let c = Btree.cursor t ~lo:[| 100; min_int |] ~hi:[| 400; max_int |] in
+  let first = ref [] in
+  for _ = 1 to 3 do
+    Option.iter (fun k -> first := list_of_key k :: !first) (Btree.next c)
+  done;
+  let misses () =
+    (Storage.Buffer_pool.Stats.get pool).Storage.Buffer_pool.Stats.misses
+  in
+  let before = misses () in
+  for i = 0 to 499 do
+    ignore (Btree.mem other [| i |])
+  done;
+  check Alcotest.bool "every frame refilled" true (misses () - before > 4);
+  let rest = drain c in
+  check
+    (Alcotest.list (Alcotest.list Alcotest.int))
+    "scan answer"
+    (List.init 301 (fun i -> [ 100 + i; -(100 + i) ]))
+    (List.rev !first @ rest)
+
+(* The pool's recency order follows the order in which B+-tree
+   operations pin pages, and it decides every eviction, so these exact
+   counts of a seeded insert/delete/mem/scan mix on an 8-frame pool pin
+   that order down: a change to which pages an operation pins, or when,
+   moves them. Update them only for an intended change of the physical
+   I/O, together with test/paper_io.golden. *)
+let test_pin_order_io () =
+  let dev = Storage.Block_device.create ~block_size:page_size () in
+  let pool = Storage.Buffer_pool.create ~capacity:8 dev in
+  let t = Btree.create pool ~key_width:2 in
+  let rng = Workload.Prng.create ~seed:12 in
+  let key () = [| Workload.Prng.int rng 40; Workload.Prng.int rng 40 |] in
+  (* Mostly inserts for the first half, mostly deletes for the second. *)
+  let update ~insert =
+    let k = key () in
+    ignore (if insert then Btree.insert t k else Btree.delete t k)
+  in
+  for i = 1 to 6_000 do
+    let grow = i <= 3_000 in
+    match Workload.Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 | 4 | 5 -> update ~insert:grow
+    | 6 -> update ~insert:(not grow)
+    | 7 | 8 -> ignore (Btree.mem t (key ()))
+    | _ ->
+        let a = key () in
+        ignore (Btree.range_list t ~lo:a ~hi:[| a.(0) + 3; 0 |])
+  done;
+  Storage.Buffer_pool.flush pool;
+  let p = Storage.Buffer_pool.Stats.get pool in
+  let d = Storage.Block_device.Stats.get dev in
+  check
+    (Alcotest.list Alcotest.int)
+    "logical reads, hits, misses, evictions, device reads, writes"
+    [ 32474; 19358; 13116; 13218; 13116; 3285 ]
+    Storage.Buffer_pool.Stats.
+      [ p.logical_reads; p.hits; p.misses; p.evictions;
+        d.Storage.Block_device.Stats.reads; d.Storage.Block_device.Stats.writes ]
+
 let () =
   Alcotest.run "btree"
     [
@@ -279,4 +517,14 @@ let () =
        [ Alcotest.test_case "random ops vs Set (2k)" `Quick test_random_small;
          Alcotest.test_case "random ops vs Set (8k)" `Slow test_random_larger;
          QCheck_alcotest.to_alcotest prop_insert_then_mem ]);
+      ("in place",
+       [ Alcotest.test_case "leaf full/split/borrow/merge" `Quick
+           test_leaf_boundaries;
+         Alcotest.test_case "node split/borrow/merge" `Quick
+           test_node_boundaries;
+         Alcotest.test_case "cursor leaf evicted mid-scan" `Quick
+           test_cursor_leaf_evicted;
+         Alcotest.test_case "pin order: exact I/O counts" `Quick
+           test_pin_order_io;
+         QCheck_alcotest.to_alcotest prop_in_place_model ]);
     ]

@@ -208,6 +208,25 @@ let test_ring_scan_equivalence () =
   check Alcotest.int "evictions" ring.Pool.Stats.evictions
     scan.Pool.Stats.evictions
 
+(* A miss at capacity reads the page into the buffer of the frame it
+   evicts: once the pool is full, faulting pages in allocates nothing on
+   the major heap (each fresh 2 KB block would otherwise land there). *)
+let test_full_pool_faults_allocate_nothing () =
+  let d = Dev.create ~block_size:2048 () in
+  let p = Pool.create ~capacity:8 d in
+  let pages = Array.init 64 (fun _ -> Pool.alloc p) in
+  Pool.flush p;
+  check Alcotest.int "at capacity" 8 (Pool.cached p);
+  Pool.Stats.reset p;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for i = 0 to 9_999 do
+    Pool.with_page p pages.(i mod 64) ~dirty:false ignore
+  done;
+  let after = (Gc.quick_stat ()).Gc.major_words in
+  check Alcotest.int "every access faulted" 10_000
+    (Pool.Stats.get p).Pool.Stats.misses;
+  check (Alcotest.float 0.) "major-heap words allocated" 0. (after -. before)
+
 (* If the body of with_page raises and the cleanup unpin then fails too,
    the body's exception — not the unpin's — must reach the caller. *)
 let test_with_page_exception_not_masked () =
@@ -313,6 +332,8 @@ let () =
            test_pinned_survives_storm;
          Alcotest.test_case "ring matches scan baseline" `Quick
            test_ring_scan_equivalence;
+         Alcotest.test_case "full pool faults allocate nothing" `Quick
+           test_full_pool_faults_allocate_nothing;
          Alcotest.test_case "with_page does not mask exceptions" `Quick
            test_with_page_exception_not_masked ]);
       ("group commit",
