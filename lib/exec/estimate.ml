@@ -152,10 +152,10 @@ let hist_for stats c =
   | Some st -> List.assoc_opt c st.t_cols
 
 (* Evaluate a value against constants, parameters and [env] (concrete
-   outer-collection rows, when the caller enumerated them); [None] if it
-   references columns not bound there. *)
-let value_of ?(env = []) binds v =
-  match Executor.eval_value binds env v with
+   outer-collection rows bound under [scope], when the caller enumerated
+   them); [None] if it references columns not bound there. *)
+let value_of ?(scope = [||]) ?(env = [||]) binds v =
+  match Executor.compile_value binds scope v env with
   | v -> Some v
   | exception Ir.Error _ -> None
 
@@ -235,7 +235,7 @@ let filters_sel stats binds (step : Ir.step) =
    supplies concrete outer-collection rows, so bounds like the Fig. 9
    plan's [lft.min]/[lft.max] and [rgt.node] evaluate against the
    histograms instead of the magic default fractions. *)
-let access_sel ?env stats binds (step : Ir.step) =
+let access_sel ?scope ?env stats binds (step : Ir.step) =
   match step.Ir.access with
   | Ir.Seq_scan | Ir.Mem_probe _ -> 1.0
   | Ir.Index_scan { index; eq; lo; hi; _ } ->
@@ -245,7 +245,7 @@ let access_sel ?env stats binds (step : Ir.step) =
         (fun i e ->
           let h = hist_for stats icols.(i) in
           let s =
-            match (h, value_of ?env binds e) with
+            match (h, value_of ?scope ?env binds e) with
             | Some h, Some v -> eq_frac h v
             | Some h, None -> distinct_frac h
             | None, _ -> default_eq
@@ -259,7 +259,7 @@ let access_sel ?env stats binds (step : Ir.step) =
           match (lo, h) with
           | None, _ -> 0.0
           | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?env binds v with
+              match value_of ?scope ?env binds v with
               | Some v -> if inclusive then frac_lt h v else frac_le h v
               | None -> default_range)
           | Some _, None -> default_range
@@ -268,7 +268,7 @@ let access_sel ?env stats binds (step : Ir.step) =
           match (hi, h) with
           | None, _ -> 1.0
           | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?env binds v with
+              match value_of ?scope ?env binds v with
               | Some v -> if inclusive then frac_le h v else frac_lt h v
               | None -> 1.0 -. default_range)
           | Some _, None -> 1.0 -. default_range
@@ -327,7 +327,8 @@ let branches ctx (brs : Ir.branch list) =
       (* [Some envs]: the concrete outer rows this step will be probed
          under (collections have known contents at plan time); [None]
          once a base-table step or the cap makes them unenumerable. *)
-      let envs = ref (Some [ [] ]) in
+      let scope = ref [||] in
+      let envs = ref (Some [ [||] ]) in
       let step_ests =
         List.map
           (fun (step : Ir.step) ->
@@ -343,14 +344,13 @@ let branches ctx (brs : Ir.branch list) =
                   (match (!envs, coll) with
                   | Some es, Some (cols, rows)
                     when n > 0 && List.length es * n <= max_envs ->
+                      scope :=
+                        Array.append !scope [| (step.Ir.alias, cols) |];
                       envs :=
                         Some
                           (List.concat_map
                              (fun e ->
-                               List.map
-                                 (fun r ->
-                                   e @ [ (step.Ir.alias, (cols, r)) ])
-                                 rows)
+                               List.map (fun r -> Array.append e [| r |]) rows)
                              es)
                   | _ -> envs := None);
                   (float_of_int n, 0.0, None)
@@ -424,7 +424,9 @@ let branches ctx (brs : Ir.branch list) =
                         let ms =
                           List.map
                             (fun env ->
-                              entries *. access_sel ~env (Some st) binds step)
+                              entries
+                              *. access_sel ~scope:!scope ~env (Some st) binds
+                                   step)
                             es
                         in
                         let sum f = List.fold_left (fun a m -> a +. f m) 0.0 ms in

@@ -1,8 +1,16 @@
 (* The one iterator-based executor behind every query path (SQL text,
    typed wire ops, the CLI and the benchmarks). Branches execute as
-   right-deep nested loops over `Relation.Iter`-style cursors: transient
-   collections and streaming heap scans as outer loops, B+tree range
-   probes as inner loops — the Fig. 10 execution shape.
+   right-deep nested loops over cursors: transient collections and
+   streaming heap scans as outer loops, B+tree range probes as inner
+   loops — the Fig. 10 execution shape.
+
+   A plan is compiled once per execution, never per row: every column
+   reference resolves to a slot (step depth, column position) in one
+   environment holding the row each enclosing step has bound, every
+   host variable to a constant, and filters, probe bounds and
+   projections become closures over that environment. Each index-scan
+   step reuses one B+-tree cursor and one pair of key buffers across
+   its probes.
 
    Every IR node type has exactly one `Obs.Trace` instrumentation point:
    a `sql.branch` span per UNION ALL branch and, when tracing is
@@ -14,10 +22,15 @@ exception Error = Ir.Error
 
 let fail = Ir.fail
 
-(* ---------------- environments and evaluation ---------------- *)
+(* ---------------- name resolution and compiled evaluation ---------------- *)
 
-(* alias -> (visible columns, current row) *)
-type binding = (string * (string array * int array)) list
+(* What a nested loop has bound, per step depth: the step's alias and
+   the columns its row exposes. *)
+type scope = (string * string array) array
+
+(* The row bound at each depth of a scope. A row may carry trailing
+   cells its columns do not name (a covering index entry's rowid). *)
+type env = int array array
 
 let col_position columns c =
   let rec go i =
@@ -27,51 +40,90 @@ let col_position columns c =
   in
   go 0
 
-let lookup_col bound alias col =
+type slot = Slot of int * int | Unresolved of string
+
+(* An alias names its outermost binding; a bare column must be exposed
+   by exactly one binding. *)
+let resolve (scope : scope) alias col =
+  let n = Array.length scope in
   match alias with
-  | Some a -> (
-      match List.assoc_opt a bound with
-      | None -> fail "unknown alias %s" a
-      | Some (columns, row) -> (
-          match col_position columns col with
-          | Some i -> row.(i)
-          | None -> fail "alias %s has no column %s" a col))
+  | Some a ->
+      let rec find d =
+        if d >= n then Unresolved (Printf.sprintf "unknown alias %s" a)
+        else if fst scope.(d) <> a then find (d + 1)
+        else
+          match col_position (snd scope.(d)) col with
+          | Some i -> Slot (d, i)
+          | None ->
+              Unresolved (Printf.sprintf "alias %s has no column %s" a col)
+      in
+      find 0
   | None -> (
       let hits =
         List.filter_map
-          (fun (_, (columns, row)) ->
-            Option.map (fun i -> row.(i)) (col_position columns col))
-          bound
+          (fun d ->
+            Option.map (fun i -> (d, i)) (col_position (snd scope.(d)) col))
+          (List.init n Fun.id)
       in
       match hits with
-      | [ v ] -> v
-      | [] -> fail "unknown column %s" col
-      | _ -> fail "ambiguous column %s" col)
+      | [ (d, i) ] -> Slot (d, i)
+      | [] -> Unresolved (Printf.sprintf "unknown column %s" col)
+      | _ -> Unresolved (Printf.sprintf "ambiguous column %s" col))
 
-let eval_value binds (bound : binding) = function
-  | Ir.Const n -> n
+(* A reference that does not resolve compiles into a closure raising
+   its resolution error, so it fails only when evaluated. *)
+let compile_value binds (scope : scope) : Ir.value -> env -> int = function
+  | Ir.Const n -> fun _ -> n
   | Ir.Param h -> (
       match List.assoc_opt h binds with
-      | Some v -> v
-      | None -> fail "missing host variable :%s" h)
-  | Ir.Field (alias, col) -> lookup_col bound alias col
+      | Some v -> fun _ -> v
+      | None -> fun _ -> fail "missing host variable :%s" h)
+  | Ir.Field (alias, col) -> (
+      match resolve scope alias col with
+      | Slot (d, i) -> fun env -> env.(d).(i)
+      | Unresolved msg -> fun _ -> raise (Error msg))
 
-let rec eval_pred binds (bound : binding) = function
+let rec compile_pred binds scope : Ir.pred -> env -> bool = function
   | Ir.Cmp (op, a, b) ->
-      let va = eval_value binds bound a and vb = eval_value binds bound b in
-      (match op with
-      | Ir.Eq -> va = vb
-      | Ir.Ne -> va <> vb
-      | Ir.Lt -> va < vb
-      | Ir.Le -> va <= vb
-      | Ir.Gt -> va > vb
-      | Ir.Ge -> va >= vb)
+      let va = compile_value binds scope a
+      and vb = compile_value binds scope b in
+      let test : int -> int -> bool =
+        match op with
+        | Ir.Eq -> ( = )
+        | Ir.Ne -> ( <> )
+        | Ir.Lt -> ( < )
+        | Ir.Le -> ( <= )
+        | Ir.Gt -> ( > )
+        | Ir.Ge -> ( >= )
+      in
+      fun env ->
+        let x = va env in
+        test x (vb env)
   | Ir.Between (e, lo, hi) ->
-      let v = eval_value binds bound e in
-      eval_value binds bound lo <= v && v <= eval_value binds bound hi
-  | Ir.And (a, b) -> eval_pred binds bound a && eval_pred binds bound b
-  | Ir.Or (a, b) -> eval_pred binds bound a || eval_pred binds bound b
-  | Ir.Not e -> not (eval_pred binds bound e)
+      let ve = compile_value binds scope e
+      and vlo = compile_value binds scope lo
+      and vhi = compile_value binds scope hi in
+      fun env ->
+        let v = ve env in
+        vlo env <= v && v <= vhi env
+  | Ir.And (a, b) ->
+      let pa = compile_pred binds scope a and pb = compile_pred binds scope b in
+      fun env -> pa env && pb env
+  | Ir.Or (a, b) ->
+      let pa = compile_pred binds scope a and pb = compile_pred binds scope b in
+      fun env -> pa env || pb env
+  | Ir.Not e ->
+      let p = compile_pred binds scope e in
+      fun env -> not (p env)
+
+(* A conjunction, evaluated left to right with short circuit. *)
+let rec compile_conj binds scope = function
+  | [] -> fun _ -> true
+  | [ p ] -> compile_pred binds scope p
+  | p :: rest ->
+      let p = compile_pred binds scope p
+      and rest = compile_conj binds scope rest in
+      fun env -> p env && rest env
 
 (* ---------------- node execution ---------------- *)
 
@@ -98,172 +150,227 @@ let node_span (step : Ir.step) =
   | Ir.Base _, Ir.Index_scan _ -> "exec.index_scan"
   | Ir.Base _, Ir.Mem_probe _ -> "exec.invalid"
 
-let run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
+(* The columns a step's bound row exposes, and whether the row is a
+   covering index entry that still carries its rowid. *)
+let row_shape ctx (step : Ir.step) =
+  match (step.Ir.source, step.Ir.access) with
+  | Ir.Collection name, _ -> (
+      match ctx.Ir.collection name with
+      | Some (columns, _) -> (columns, false)
+      | None -> (step.Ir.columns, false))
+  | Ir.Base _, Ir.Index_scan { index; covering = true; _ } ->
+      (Relation.Table.Index.columns index, true)
+  | Ir.Base tbl, (Ir.Seq_scan | Ir.Index_scan _) ->
+      (Relation.Table.columns tbl, false)
+  | Ir.Base _, Ir.Mem_probe _ | Ir.Mem _, _ -> (step.Ir.columns, false)
+
+(* Compile the step at depth [d]: a closure that runs the step once
+   (one scan or probe under the rows the outer steps bound) and calls
+   [k] for every row it binds at [env.(d)] that passes its filters.
+   Probe bounds see the outer steps only; key filters see them plus
+   the index entry, residual filters plus the bound row. *)
+let compile_step ctx (scope : scope) (env : env) d (step : Ir.step) k =
   let binds = ctx.Ir.binds in
-  let bind columns row = bound @ [ (step.Ir.alias, (columns, row)) ] in
-  let visit columns row =
-    let b2 = bind columns row in
-    if List.for_all (fun f -> eval_pred binds b2 f) step.Ir.filters then begin
+  let outer = Array.sub scope 0 d in
+  let filter =
+    compile_conj binds (Array.sub scope 0 (d + 1)) step.Ir.filters
+  in
+  let visit row =
+    env.(d) <- row;
+    if filter env then begin
       step.Ir.seen <- step.Ir.seen + 1;
-      emit b2
+      k ()
     end
   in
-  let body () =
+  let visible_in = function
+    | None -> fun _ -> true
+    | Some v -> v.Relation.Txn.visible
+  in
+  let body =
     match (step.Ir.source, step.Ir.access) with
     | Ir.Collection name, _ -> (
         match ctx.Ir.collection name with
-        | None -> fail "collection %s disappeared" name
-        | Some (columns, rows) -> List.iter (fun r -> visit columns r) rows)
+        | None -> fun () -> fail "collection %s disappeared" name
+        | Some (_, rows) -> fun () -> List.iter visit rows)
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
-        let lo = eval_value binds bound lo
-        and up = eval_value binds bound hi in
-        List.iter
-          (fun (l, u, id) -> visit step.Ir.columns [| l; u; id |])
-          (h.Ir.mem_probe op ~lo ~up)
-    | Ir.Mem _, _ -> fail "hot-tier source requires a memory probe"
-    | Ir.Base _, Ir.Mem_probe _ -> fail "memory probe against a base table"
+        let lo = compile_value binds outer lo
+        and hi = compile_value binds outer hi in
+        fun () ->
+          let lo = lo env in
+          let up = hi env in
+          List.iter
+            (fun (l, u, id) -> visit [| l; u; id |])
+            (h.Ir.mem_probe op ~lo ~up)
+    | Ir.Mem _, _ -> fun () -> fail "hot-tier source requires a memory probe"
+    | Ir.Base _, Ir.Mem_probe _ ->
+        fun () -> fail "memory probe against a base table"
     | Ir.Base tbl, Ir.Seq_scan ->
-        (* Streaming scan: the heap cursor behind Iter.heap_scan holds
-           one page of rows at a time, so a sequential scan of any size
-           runs in constant memory. The appended rowid column is used
-           for the snapshot visibility check, then dropped. *)
-        let columns = Relation.Table.columns tbl in
-        let view = ctx.Ir.vis (Relation.Table.name tbl) in
-        let accept =
-          match view with
-          | None -> fun _ -> true
-          | Some v -> v.Relation.Txn.visible
-        in
-        Relation.Iter.iter
-          (fun r ->
-            let n = Array.length r in
-            if accept r.(n - 1) then visit columns (Array.sub r 0 (n - 1)))
-          (Relation.Iter.heap_scan tbl);
-        (match view with
-        | None -> ()
-        | Some v -> List.iter (visit columns) (v.Relation.Txn.extra ()))
+        (* Streaming scan: the heap cursor holds one page of rows at a
+           time, so a sequential scan of any size runs in constant
+           memory. The rowid goes to the snapshot visibility check. *)
+        fun () ->
+          let view = ctx.Ir.vis (Relation.Table.name tbl) in
+          let accept = visible_in view in
+          let c = Relation.Heap.cursor (Relation.Table.heap tbl) in
+          let rec go () =
+            match Relation.Heap.next c with
+            | Some (rowid, row) ->
+                if accept rowid then visit row;
+                go ()
+            | None -> ()
+          in
+          go ();
+          Option.iter
+            (fun v -> List.iter visit (v.Relation.Txn.extra ()))
+            view
     | ( Ir.Base tbl,
         Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering } )
       ->
-        let tree = Relation.Table.Index.tree index in
-        let width = Btree.key_width tree in
-        let icols = Relation.Table.Index.columns index in
-        let eq_vals = List.map (eval_value binds bound) eq in
-        let k = List.length eq_vals in
-        let lo_key = Array.make width min_int in
-        let hi_key = Array.make width max_int in
-        List.iteri
-          (fun i v ->
+        let width = Btree.key_width (Relation.Table.Index.tree index) in
+        let eq = Array.of_list (List.map (compile_value binds outer) eq) in
+        let neq = Array.length eq in
+        (* an exclusive bound moves one key value inwards *)
+        let bound delta = function
+          | None -> None
+          | Some { Ir.v; inclusive } ->
+              let g = compile_value binds outer v in
+              Some (if inclusive then g else fun env -> g env + delta)
+        in
+        let lo = bound 1 lo and hi = bound (-1) hi in
+        let rpos = neq + if lo <> None || hi <> None then 1 else 0 in
+        let refine = rpos > neq && rpos < width in
+        let refine_lo = if refine then bound 1 refine_lo else None
+        and refine_hi = if refine then bound (-1) refine_hi else None in
+        let lo_key = Array.make width min_int
+        and hi_key = Array.make width max_int in
+        let set key i = Option.iter (fun g -> key.(i) <- g env) in
+        let probe = Relation.Iter.index_probe index in
+        (* key filters see the index entry (its rowid past the named
+           columns), so non-matching entries are skipped without a
+           fetch *)
+        let key_ok =
+          compile_conj binds
+            (Array.append outer
+               [| (step.Ir.alias, Relation.Table.Index.columns index) |])
+            step.Ir.key_filters
+        in
+        let keyed key =
+          env.(d) <- key;
+          key_ok env
+        in
+        fun () ->
+          Array.fill lo_key 0 width min_int;
+          Array.fill hi_key 0 width max_int;
+          for i = 0 to neq - 1 do
+            let v = eq.(i) env in
             lo_key.(i) <- v;
-            hi_key.(i) <- v)
-          eq_vals;
-        (match lo with
-        | Some { Ir.v; inclusive } ->
-            lo_key.(k) <- (eval_value binds bound v + if inclusive then 0 else 1)
-        | None -> ());
-        (match hi with
-        | Some { Ir.v; inclusive } ->
-            hi_key.(k) <- (eval_value binds bound v - if inclusive then 0 else 1)
-        | None -> ());
-        let rpos = k + if lo <> None || hi <> None then 1 else 0 in
-        if rpos > k && rpos < width then begin
-          (match refine_lo with
-          | Some { Ir.v; inclusive } ->
-              lo_key.(rpos) <-
-                (eval_value binds bound v + if inclusive then 0 else 1)
-          | None -> ());
-          match refine_hi with
-          | Some { Ir.v; inclusive } ->
-              hi_key.(rpos) <-
-                (eval_value binds bound v - if inclusive then 0 else 1)
-          | None -> ()
-        end;
-        let view = ctx.Ir.vis (Relation.Table.name tbl) in
-        let accept =
-          match view with
-          | None -> fun _ -> true
-          | Some v -> v.Relation.Txn.visible
-        in
-        let entry_visit key =
-          let entry_ok =
-            step.Ir.key_filters = []
-            ||
-            (* key filters see the index entry (sans rowid), so
-               non-matching entries are skipped without a fetch *)
-            let entry = Array.sub key 0 (Array.length key - 1) in
-            let b2 = bind icols entry in
-            List.for_all (fun f -> eval_pred binds b2 f) step.Ir.key_filters
+            hi_key.(i) <- v
+          done;
+          set lo_key neq lo;
+          set hi_key neq hi;
+          set lo_key rpos refine_lo;
+          set hi_key rpos refine_hi;
+          let view = ctx.Ir.vis (Relation.Table.name tbl) in
+          let accept = visible_in view in
+          let next = probe ~lo:lo_key ~hi:hi_key in
+          let rec go () =
+            match next () with
+            | Some key ->
+                let rowid = key.(Array.length key - 1) in
+                (if accept rowid && keyed key then
+                   if covering then visit key
+                   else
+                     match Relation.Table.fetch tbl rowid with
+                     | Some row -> visit row
+                     | None -> ());
+                go ()
+            | None -> ()
           in
-          if entry_ok then
-            if covering then
-              visit icols (Array.sub key 0 (Array.length key - 1))
-            else
-              let rowid = key.(Array.length key - 1) in
-              match Relation.Table.fetch tbl rowid with
-              | Some row -> visit (Relation.Table.columns tbl) row
-              | None -> ()
-        in
-        Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
-            if accept key.(Array.length key - 1) then entry_visit key);
-        (match view with
-        | None -> ()
-        | Some v ->
-            (* Overlay rows are injected per probe: each row's index
-               entry joins exactly the probes whose key range would have
-               contained its physical registration, so UNION ALL branch
-               disjointness and per-probe key filters behave as for
-               physical rows. The rowid slot is unconstrained in every
-               probe (min_int..max_int), so a pseudo-rowid of 0 never
-               decides the comparison. *)
-            List.iter
-              (fun row ->
-                let key = Relation.Table.Index.key_of_row index 0 row in
-                if key_in_range ~lo:lo_key ~hi:hi_key key then
-                  if covering then entry_visit key
-                  else
-                    let entry_ok =
-                      step.Ir.key_filters = []
-                      ||
-                      let entry = Array.sub key 0 (Array.length key - 1) in
-                      let b2 = bind icols entry in
-                      List.for_all
-                        (fun f -> eval_pred binds b2 f)
-                        step.Ir.key_filters
-                    in
-                    if entry_ok then visit (Relation.Table.columns tbl) row)
-              (v.Relation.Txn.extra ()))
+          go ();
+          (* Overlay rows are injected per probe: each row's index
+             entry joins exactly the probes whose key range would have
+             contained its physical registration, so UNION ALL branch
+             disjointness and per-probe key filters behave as for
+             physical rows. The rowid slot is unconstrained in every
+             probe (min_int..max_int), so a pseudo-rowid of 0 never
+             decides the comparison. *)
+          Option.iter
+            (fun v ->
+              List.iter
+                (fun row ->
+                  let key = Relation.Table.Index.key_of_row index 0 row in
+                  if key_in_range ~lo:lo_key ~hi:hi_key key && keyed key then
+                    visit (if covering then key else row))
+                (v.Relation.Txn.extra ()))
+            view
   in
-  if Obs.Trace.enabled () then
-    Obs.Trace.with_span (node_span step) ~info:step.Ir.alias body
-  else body ()
+  fun () ->
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span (node_span step) ~info:step.Ir.alias body
+    else body ()
 
-let run_branch ctx (branch : Ir.branch) =
+(* The output row of a branch, read off the environment once every step
+   has bound its row. *)
+let compile_projection binds (scope : scope) entries projections =
+  let col = function
+    | Ir.Col (alias, c) ->
+        Some (compile_value binds scope (Ir.Field (alias, c)))
+    | Ir.Star | Ir.Count_star | Ir.Agg _ -> None
+  in
+  let cols = List.map col projections in
+  if List.for_all Option.is_some cols then begin
+    let cols = Array.of_list (List.map Option.get cols) in
+    let n = Array.length cols in
+    fun env ->
+      let row = Array.make n 0 in
+      for i = 0 to n - 1 do
+        row.(i) <- cols.(i) env
+      done;
+      row
+  end
+  else
+    let piece = function
+      | Ir.Star ->
+          fun (env : env) ->
+            Array.concat
+              (List.mapi
+                 (fun d covering ->
+                   let r = env.(d) in
+                   if covering then Array.sub r 0 (Array.length r - 1) else r)
+                 entries)
+      | Ir.Count_star -> fun _ -> [||]
+      | Ir.Agg _ -> fun _ -> fail "aggregate outside an aggregate query"
+      | Ir.Col (alias, c) ->
+          let v = compile_value binds scope (Ir.Field (alias, c)) in
+          fun env -> [| v env |]
+    in
+    let pieces = List.map piece projections in
+    fun env -> Array.concat (List.map (fun p -> p env) pieces)
+
+(* Run one branch, prepending its output rows to [acc], newest first. *)
+let run_branch ctx (branch : Ir.branch) acc =
   Obs.Trace.with_span "sql.branch"
     ~info:
       (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
   @@ fun () ->
-  let rows = ref [] in
-  let count = ref 0 in
-  let rec loop bound = function
-    | [] ->
-        incr count;
-        let row =
-          List.concat_map
-            (function
-              | Ir.Star ->
-                  List.concat_map
-                    (fun (_, (_, row)) -> Array.to_list row)
-                    bound
-              | Ir.Count_star -> []
-              | Ir.Agg _ -> fail "aggregate outside an aggregate query"
-              | Ir.Col (alias, c) -> [ lookup_col bound alias c ])
-            branch.Ir.projections
-        in
-        rows := Array.of_list row :: !rows
-    | step :: rest -> run_step ctx bound step (fun b2 -> loop b2 rest)
+  let steps = Array.of_list branch.Ir.steps in
+  let shapes = Array.map (row_shape ctx) steps in
+  let scope =
+    Array.map2 (fun (s : Ir.step) (c, _) -> (s.Ir.alias, c)) steps shapes
   in
-  loop [] branch.Ir.steps;
-  (List.rev !rows, !count)
+  let env = Array.make (Array.length steps) [||] in
+  let project =
+    compile_projection ctx.Ir.binds scope
+      (Array.to_list (Array.map snd shapes))
+      branch.Ir.projections
+  in
+  let rows = ref acc in
+  let rec chain d =
+    if d = Array.length steps then fun () -> rows := project env :: !rows
+    else compile_step ctx scope env d steps.(d) (chain (d + 1))
+  in
+  chain 0 ();
+  !rows
 
 let projection_columns (branch : Ir.branch) =
   List.concat_map
@@ -316,7 +423,7 @@ let run_group_by ctx (branch : Ir.branch) =
         List.map (fun (a, c) -> Ir.Col (a, c)) group
         @ List.map (fun (a, c) -> Ir.Col (a, c)) agg_cols }
   in
-  let rows, _ = run_branch ctx branch' in
+  let rows = List.rev (run_branch ctx branch' []) in
   let karity = List.length group in
   let groups : (int list, int * int list array) Hashtbl.t =
     Hashtbl.create 64
@@ -380,28 +487,28 @@ let run_aggregate ctx branches projections =
         | Ir.Count_star | Ir.Star | Ir.Col _ -> None)
       projections
   in
-  let count = ref 0 in
+  let rows =
+    List.fold_left
+      (fun acc branch ->
+        run_branch ctx
+          { branch with
+            Ir.projections =
+              List.map (fun t -> Ir.Col (fst t, snd t)) agg_cols }
+          acc)
+      [] branches
+  in
+  (* every aggregate is independent of row order *)
   let values = Array.make (List.length agg_cols) [] in
   List.iter
-    (fun branch ->
-      let branch' =
-        { branch with
-          Ir.projections =
-            List.map (fun t -> Ir.Col (fst t, snd t)) agg_cols }
-      in
-      let rows, c = run_branch ctx branch' in
-      count := !count + c;
-      List.iter
-        (fun row ->
-          Array.iteri (fun i _ -> values.(i) <- row.(i) :: values.(i)) values)
-        rows)
-    branches;
+    (fun row ->
+      Array.iteri (fun i _ -> values.(i) <- row.(i) :: values.(i)) values)
+    rows;
   let next_value = ref 0 in
   let cells =
     List.map
       (fun p ->
         match p with
-        | Ir.Count_star -> !count
+        | Ir.Count_star -> List.length rows
         | Ir.Agg (a, _) -> (
             let vs = values.(!next_value) in
             incr next_value;
@@ -448,7 +555,12 @@ let order_and_limit (first : Ir.branch) (plan : Ir.plan) rows =
   in
   match plan.Ir.limit with
   | None -> rows
-  | Some n -> List.filteri (fun i _ -> i < n) rows
+  | Some n ->
+      let rec take acc n = function
+        | row :: rest when n > 0 -> take (row :: acc) (n - 1) rest
+        | _ -> List.rev acc
+      in
+      take [] n rows
 
 (* ---------------- plan execution ---------------- *)
 
@@ -479,14 +591,13 @@ let run ctx (plan : Ir.plan) =
           rows = run_aggregate ctx plan.Ir.branches first.Ir.projections }
       end
       else begin
-        let all_rows = ref [] in
-        List.iter
-          (fun branch ->
-            let rows, _ = run_branch ctx branch in
-            all_rows := !all_rows @ rows)
-          plan.Ir.branches;
+        let rows =
+          List.fold_left
+            (fun acc branch -> run_branch ctx branch acc)
+            [] plan.Ir.branches
+        in
         { columns = projection_columns first;
-          rows = order_and_limit first plan !all_rows }
+          rows = order_and_limit first plan (List.rev rows) }
       end
 
 (* Measure an execution: wall time and the process-global physical-I/O

@@ -235,11 +235,15 @@ let intersecting_ids ?stats ?path ?mem ?vis t q =
   List.map (fun (r : int array) -> r.(0))
     (run (plan_intersection ?stats ?path ?mem ?vis ~proj:Ids t q)).Executor.rows
 
+(* Matches as the plan's [lower; upper; id] rows. *)
+let intersecting_rows ?stats ?path ?mem ?vis t q =
+  (run (plan_intersection ?stats ?path ?mem ?vis ~proj:Triples t q))
+    .Executor.rows
+
+let pair (r : int array) = (Ivl.make r.(0) r.(1), r.(2))
+
 let intersecting ?stats ?path ?mem ?vis t q =
-  List.map
-    (fun (r : int array) -> (Ivl.make r.(0) r.(1), r.(2)))
-    (run (plan_intersection ?stats ?path ?mem ?vis ~proj:Triples t q))
-      .Executor.rows
+  List.map pair (intersecting_rows ?stats ?path ?mem ?vis t q)
 
 let stabbing_ids ?stats t p = intersecting_ids ?stats t (Ivl.point p)
 
@@ -361,10 +365,10 @@ let plan_allen ?mem ?vis t r q =
       mem_plan ~proj:Triples h (Ir.Mem_relation r) q
   | None -> plan_allen_disk ?vis t r q
 
-let allen_matches ?mem ?vis t r q =
-  List.map
-    (fun (row : int array) -> (Ivl.make row.(0) row.(1), row.(2)))
-    (run (plan_allen ?mem ?vis t r q)).Executor.rows
+let allen_rows ?mem ?vis t r q =
+  (run (plan_allen ?mem ?vis t r q)).Executor.rows
+
+let allen_matches ?mem ?vis t r q = List.map pair (allen_rows ?mem ?vis t r q)
 
 let allen_ids ?mem ?vis t r q = List.map snd (allen_matches ?mem ?vis t r q)
 

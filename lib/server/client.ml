@@ -154,7 +154,7 @@ let read_exact t deadline buf off len =
         fail "read: %s" (Unix.error_message e)
   done
 
-let read_frame ?deadline t =
+let read_payload ?deadline t =
   let header = Bytes.create 4 in
   read_exact t deadline header 0 4;
   let len = Int32.to_int (Bytes.get_int32_be header 0) in
@@ -166,18 +166,27 @@ let read_frame ?deadline t =
   end;
   let payload = Bytes.create len in
   read_exact t deadline payload 0 len;
-  Protocol.decode_response payload
+  payload
 
 let deadline_of t =
   Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) t.deadline_ms
 
-let rpc t req =
+(* Send one request; its id and the response payload, still encoded. *)
+let exchange t req =
   if t.closed then fail "client is closed";
   let deadline = deadline_of t in
   let id = t.next_id in
   t.next_id <- Int64.add t.next_id 1L;
   write_all t deadline (Protocol.encode_request ~id req);
-  match read_frame ?deadline t with
+  (id, read_payload ?deadline t)
+
+(* id 0 is the server's out-of-band admission rejection (or an idle
+   goodbye racing the request). *)
+let check_id id rid =
+  if rid <> id && rid <> 0L then fail "response id %Ld for request %Ld" rid id
+
+let decode_answer id payload =
+  match Protocol.decode_response payload with
   | Error e ->
       (* The frame was well-delimited, so the stream is still in sync:
          a response we cannot decode (say, an op added after this
@@ -185,19 +194,31 @@ let rpc t req =
          leaves the connection usable. *)
       raise (Undecodable (Protocol.error_to_string e))
   | Ok (rid, resp) ->
-      (* id 0 is the server's out-of-band admission rejection (or an
-         idle goodbye racing the request). *)
-      if rid <> id && rid <> 0L then
-        fail "response id %Ld for request %Ld" rid id;
+      check_id id rid;
       resp
 
-let rpc_result t req =
-  match rpc t req with
-  | resp -> Ok resp
+let rpc t req =
+  let id, payload = exchange t req in
+  decode_answer id payload
+
+let result_of f =
+  match f () with
+  | v -> Ok v
   | exception Io_error m -> Result.Error (Io m)
   | exception Timed_out m -> Result.Error (Timeout m)
   | exception Undecodable m ->
       Result.Error (Unexpected ("undecodable response: " ^ m))
+
+let rpc_result t req = result_of (fun () -> rpc t req)
+
+let rpc_rows_result t req =
+  result_of (fun () ->
+      let id, payload = exchange t req in
+      if Protocol.is_rows_payload payload then begin
+        check_id id (Bytes.get_int64_be payload 0);
+        Either.Left payload
+      end
+      else Either.Right (decode_answer id payload))
 
 (* ---------------- multiplexed scatter ---------------- *)
 

@@ -87,6 +87,12 @@ val rpc : t -> Protocol.request -> Protocol.response
 val rpc_result : t -> Protocol.request -> (Protocol.response, error) result
 (** {!rpc} with the transport failure folded into the result. *)
 
+val rpc_rows_result :
+  t -> Protocol.request -> ((Bytes.t, Protocol.response) Either.t, error) result
+(** {!rpc_result}, except that a [Rows] answer comes back still encoded:
+    [Left payload], for a caller that forwards it unchanged
+    ({!Protocol.reframe}). *)
+
 val rpc_many :
   (t * Protocol.request) list -> (Protocol.response, error) result list
 (** One request per client, all responses multiplexed on a single

@@ -418,6 +418,17 @@ let decode body payload =
     | exception Short -> Result.Error Truncated
     | exception Bad m -> Result.Error (Malformed m)
 
+let is_rows_payload payload =
+  Bytes.length payload > 8 && Bytes.get_uint8 payload 8 = op_rows
+
+let reframe ~id payload =
+  let n = Bytes.length payload in
+  let frame = Bytes.create (n + 4) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.blit payload 0 frame 4 n;
+  Bytes.set_int64_be frame 4 id;
+  frame
+
 let decode_request payload =
   decode
     (fun c opcode ->

@@ -216,6 +216,14 @@ val decode_request : Bytes.t -> (int64 * request, error) result
 
 val decode_response : Bytes.t -> (int64 * response, error) result
 
+val is_rows_payload : Bytes.t -> bool
+(** The payload encodes a [Rows] response. *)
+
+val reframe : id:int64 -> Bytes.t -> Bytes.t
+(** The frame of an encoded response payload, answering request [id]
+    instead: a router forwards a shard's [Rows] answer without decoding
+    and re-encoding it. *)
+
 (** {2 Frame splitting}
 
     A [Framer] accumulates raw transport bytes and yields complete

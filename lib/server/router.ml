@@ -197,7 +197,11 @@ type conn = {
 }
 
 type job = conn * int64 * Protocol.request
-type done_msg = conn * (int64 * Protocol.response) option
+type done_msg = conn * Bytes.t option (* the response frame, if any *)
+
+(* A worker's answer: a response to encode, or a shard's encoded [Rows]
+   payload to forward under the client's request id. *)
+type reply = Answer of Protocol.response | Forward of Bytes.t
 
 type t = {
   cfg : config;
@@ -362,7 +366,7 @@ let record_shard t i ~seconds =
    latency recorded under op "shard:<i>". Reads retry across the
    shard's endpoints; mutations keep Failover's contract — a mid-flight
    transport death is ambiguous and comes back as the typed error. *)
-let shard_rpc t conn i ~mutation req =
+let shard_call t conn i ~mutation call =
   let t0 = Unix.gettimeofday () in
   let l = leg t conn i in
   let res =
@@ -370,11 +374,14 @@ let shard_rpc t conn i ~mutation req =
     | Result.Error _ as e -> e
     | Ok () ->
         let run = if mutation then Failover.mutate else Failover.read in
-        run l (fun c -> Client.rpc_result c req)
+        run l call
   in
   record_shard t i ~seconds:(Unix.gettimeofday () -. t0);
   note_shard_result t i (Result.is_ok res);
   res
+
+let shard_rpc t conn i ~mutation req =
+  shard_call t conn i ~mutation (fun c -> Client.rpc_result c req)
 
 (* Commit this connection's transaction on shard [i]; the leg notes the
    ack LSN and the router lifts it into the global per-shard token. *)
@@ -422,7 +429,6 @@ let response_of_error t missing e =
 let scatter t conn targets req =
   match targets with
   | [] -> []
-  | [ i ] -> [ (i, shard_rpc t conn i ~mutation:false req) ]
   | _ ->
       let t0 = Unix.gettimeofday () in
       let prepped =
@@ -481,62 +487,71 @@ let default_columns = [ "lower"; "upper"; "id" ]
    first — it is deterministic and would have been the single-node
    answer; then unreachable shards degrade the answer to Partial; only
    a full sweep merges. *)
-let gather_query t conn req extent =
-  match extent with
-  | None -> Protocol.Rows { columns = default_columns; rows = [] }
-  | Some (lo, hi) -> (
-      let targets = Map.targets t.map ~lower:lo ~upper:hi in
-      let results = scatter t conn targets req in
-      let verdict =
-        List.find_map
-          (function
-            | _, Ok (Protocol.Rows _) -> None
-            | _, Ok r -> Some r
-            | _ -> None)
+let merge_answers t results =
+  let verdict =
+    List.find_map
+      (function
+        | _, Ok (Protocol.Rows _) -> None
+        | _, Ok r -> Some r
+        | _ -> None)
+      results
+  in
+  match verdict with
+  | Some r -> r
+  | None -> (
+      let missing =
+        List.filter_map
+          (function i, Result.Error _ -> Some i | _ -> None)
           results
       in
-      match verdict with
-      | Some r -> r
-      | None -> (
-          let missing =
+      match missing with
+      | _ :: _ ->
+          let msg =
+            List.find_map
+              (function
+                | _, Result.Error e -> Some (Client.error_to_string e)
+                | _ -> None)
+              results
+            |> Option.value ~default:"shard unreachable"
+          in
+          count_partial t;
+          Protocol.Partial { missing; msg }
+      | [] ->
+          let columns =
+            List.find_map
+              (function
+                | _, Ok (Protocol.Rows { columns; _ }) -> Some columns
+                | _ -> None)
+              results
+            |> Option.value ~default:default_columns
+          in
+          let rows =
             List.filter_map
-              (function i, Result.Error _ -> Some i | _ -> None)
+              (function
+                | _, Ok (Protocol.Rows { rows; _ }) -> Some rows
+                | _ -> None)
               results
           in
-          match missing with
-          | _ :: _ ->
-              let msg =
-                List.find_map
-                  (function
-                    | _, Result.Error e -> Some (Client.error_to_string e)
-                    | _ -> None)
-                  results
-                |> Option.value ~default:"shard unreachable"
-              in
-              count_partial t;
-              Protocol.Partial { missing; msg }
-          | [] ->
-              let columns =
-                List.find_map
-                  (function
-                    | _, Ok (Protocol.Rows { columns; _ }) -> Some columns
-                    | _ -> None)
-                  results
-                |> Option.value ~default:default_columns
-              in
-              let rows =
-                List.filter_map
-                  (function
-                    | _, Ok (Protocol.Rows { rows; _ }) -> Some rows
-                    | _ -> None)
-                  results
-              in
-              (* A fan-out-1 query cannot see a spanner twice — forward
-                 the shard's rows verbatim instead of paying the dedup
-                 hash on the common (range-local) case. *)
-              match rows with
-              | [ only ] -> Protocol.Rows { columns; rows = only }
-              | _ -> Protocol.Rows { columns; rows = Map.merge_rows rows }))
+          Protocol.Rows { columns; rows = Map.merge_rows rows })
+
+let gather_query t conn req extent =
+  match extent with
+  | None -> Answer (Protocol.Rows { columns = default_columns; rows = [] })
+  | Some (lo, hi) -> (
+      match Map.targets t.map ~lower:lo ~upper:hi with
+      | [ i ] -> (
+          (* A fan-out-1 query cannot see a spanner twice: its [Rows]
+             answer is forwarded as the shard encoded it, with no
+             dedup hash and no decode and re-encode on the common
+             (range-local) case. *)
+          match
+            shard_call t conn i ~mutation:false (fun c ->
+                Client.rpc_rows_result c req)
+          with
+          | Ok (Either.Left payload) -> Forward payload
+          | Ok (Either.Right resp) -> Answer (merge_answers t [ (i, Ok resp) ])
+          | Result.Error _ as e -> Answer (merge_answers t [ (i, e) ]))
+      | targets -> Answer (merge_answers t (scatter t conn targets req)))
 
 let trailing_int msg =
   int_of_string_opt (List.hd (List.rev (String.split_on_char ' ' msg)))
@@ -719,35 +734,40 @@ let do_begin conn =
    any. *)
 let execute t conn id req =
   let t0 = Unix.gettimeofday () in
-  let resp =
+  let answer r = Some (Answer r) in
+  let reply =
     match req with
     | Protocol.Repl_ack _ -> None  (* fire-and-forget *)
-    | Protocol.Begin -> Some (do_begin conn)
-    | Protocol.Commit -> Some (handle_commit t conn)
-    | Protocol.Rollback -> Some (handle_rollback t conn)
+    | Protocol.Begin -> answer (do_begin conn)
+    | Protocol.Commit -> answer (handle_commit t conn)
+    | Protocol.Rollback -> answer (handle_rollback t conn)
     | Protocol.Intersect { lower; upper } ->
-        Some
-          (if lower > upper then invalid_interval lower upper
-           else gather_query t conn req (Some (lower, upper)))
+        if lower > upper then answer (invalid_interval lower upper)
+        else Some (gather_query t conn req (Some (lower, upper)))
     | Protocol.Allen { relation; lower; upper } ->
-        Some
-          (if lower > upper then invalid_interval lower upper
-           else gather_query t conn req (Map.allen_extent relation ~lower ~upper))
+        if lower > upper then answer (invalid_interval lower upper)
+        else
+          Some
+            (gather_query t conn req (Map.allen_extent relation ~lower ~upper))
     | Protocol.Insert { lower; upper; id = iid } ->
-        Some
+        answer
           (if lower > upper then invalid_interval lower upper
            else handle_insert t conn ~lower ~upper ~id:iid)
     | Protocol.Delete { lower; upper; id = iid } ->
-        Some
+        answer
           (if lower > upper then invalid_interval lower upper
            else handle_delete t conn ~lower ~upper ~id:iid)
-    | other -> pure_answer t other
+    | other -> Option.bind (pure_answer t other) answer
   in
   let dt = Unix.gettimeofday () -. t0 in
   locked t (fun () ->
       Server_stats.record t.st ~op:(Protocol.request_op_name req) ~seconds:dt
         ~io:0);
-  Option.map (fun r -> (id, r)) resp
+  Option.map
+    (function
+      | Answer r -> Protocol.encode_response ~id r
+      | Forward payload -> Protocol.reframe ~id payload)
+    reply
 
 (* ---------------- worker pool ---------------- *)
 
@@ -775,7 +795,9 @@ let worker_loop t () =
       let resp =
         try execute t conn id req
         with e ->
-          Some (id, Protocol.Error ("router: " ^ Printexc.to_string e))
+          Some
+            (Protocol.encode_response ~id
+               (Protocol.Error ("router: " ^ Printexc.to_string e)))
       in
       Mutex.lock t.dq_mu;
       Queue.push (conn, resp) t.dq;
@@ -847,9 +869,8 @@ let flush_conn t conn =
    high-water mark is the slow-consumer verdict: pending requests are
    dropped and a final typed [Overloaded] frame rides out past the
    mark before the connection is drained-then-closed. *)
-let push_frame t conn id resp =
+let push_encoded t conn frame =
   if (not conn.dead) && not conn.force_close then begin
-    let frame = Protocol.encode_response ~id resp in
     if (not (Reactor.Writer.push conn.wr frame)) && not conn.closing then begin
       Queue.clear conn.jobs;
       conn.closing <- true;
@@ -864,6 +885,9 @@ let push_frame t conn id resp =
     end;
     flush_conn t conn
   end
+
+let push_frame t conn id resp =
+  push_encoded t conn (Protocol.encode_response ~id resp)
 
 let next_job t conn =
   if
@@ -882,7 +906,7 @@ let deliver t (conn, resp) =
   if conn.dead then close_legs conn
   else begin
     (match resp with
-    | Some (id, r) -> push_frame t conn id r
+    | Some frame -> push_encoded t conn frame
     | None -> ());
     maybe_close t conn;
     if (not conn.dead) && not conn.closing then next_job t conn

@@ -186,16 +186,8 @@ let ivl lower upper =
     invalid_arg (Printf.sprintf "empty interval [%d, %d]" lower upper)
   else Interval.Ivl.make lower upper
 
-let pair_rows pairs =
-  Protocol.Rows
-    {
-      columns = [ "lower"; "upper"; "id" ];
-      rows =
-        List.map
-          (fun (i, id) ->
-            [| Interval.Ivl.lower i; Interval.Ivl.upper i; id |])
-          pairs;
-    }
+let interval_rows rows =
+  Protocol.Rows { columns = [ "lower"; "upper"; "id" ]; rows }
 
 let exec t = function
   | Protocol.Sql text -> (
@@ -257,12 +249,12 @@ let exec t = function
       (* compiled onto the shared execution IR; the planner consults the
          cost model to pick the memory tier, two-branch, single-branch,
          or seq scan *)
-      pair_rows
-        (Exec.Planner.intersecting ~stats:(stats_for t.sh) ?mem:(mem_for t)
-           ~vis:(vis_for t) t.sh.ritree (ivl lower upper))
+      interval_rows
+        (Exec.Planner.intersecting_rows ~stats:(stats_for t.sh)
+           ?mem:(mem_for t) ~vis:(vis_for t) t.sh.ritree (ivl lower upper))
   | Allen { relation; lower; upper } ->
-      pair_rows
-        (Exec.Planner.allen_matches ?mem:(mem_for t) ~vis:(vis_for t)
+      interval_rows
+        (Exec.Planner.allen_rows ?mem:(mem_for t) ~vis:(vis_for t)
            t.sh.ritree relation (ivl lower upper))
   | Begin ->
       if Relation.Txn.pinned t.txn then

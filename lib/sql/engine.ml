@@ -543,6 +543,13 @@ let stmt_kind = function
   | Ast.Select _ -> "SELECT"
   | Ast.Explain _ -> "EXPLAIN"
 
+(* A DELETE/UPDATE WHERE clause over one table row, compiled once. *)
+let row_pred binds scope = function
+  | None -> fun _ -> true
+  | Some w ->
+      let p = Executor.compile_pred binds scope (compile_pred w) in
+      fun row -> p [| row |]
+
 let rec run_stmt session binds = function
   | Ast.Create_table (name, cols) ->
       ignore
@@ -563,7 +570,8 @@ let rec run_stmt session binds = function
           let row =
             Array.of_list
               (List.map
-                 (fun e -> Executor.eval_value binds [] (compile_value e))
+                 (fun e ->
+                   Executor.compile_value binds [||] (compile_value e) [||])
                  values)
           in
           if Array.length row <> Array.length (Relation.Table.columns tbl)
@@ -576,13 +584,8 @@ let rec run_stmt session binds = function
       match Relation.Catalog.find_table session.catalog tname with
       | None -> fail "unknown table %s" tname
       | Some tbl ->
-          let columns = Relation.Table.columns tbl in
-          let where = Option.map compile_pred where in
-          let pred row =
-            match where with
-            | None -> true
-            | Some w ->
-                Executor.eval_pred binds [ (tname, (columns, row)) ] w
+          let pred =
+            row_pred binds [| (tname, Relation.Table.columns tbl) |] where
           in
           match active_txn session with
           | None ->
@@ -619,27 +622,21 @@ let rec run_stmt session binds = function
       | None -> fail "unknown table %s" tname
       | Some tbl ->
           let columns = Relation.Table.columns tbl in
+          let scope = [| (tname, columns) |] in
           let set_positions =
             List.map
               (fun (c, e) ->
                 match Executor.col_position columns c with
-                | Some i -> (i, compile_value e)
+                | Some i ->
+                    (i, Executor.compile_value binds scope (compile_value e))
                 | None -> fail "unknown column %s in UPDATE" c)
               sets
           in
-          let where = Option.map compile_pred where in
-          let matches row =
-            match where with
-            | None -> true
-            | Some w ->
-                Executor.eval_pred binds [ (tname, (columns, row)) ] w
-          in
+          let matches = row_pred binds scope where in
           let updated row =
-            let bound = [ (tname, (columns, row)) ] in
+            let env = [| row |] in
             let row' = Array.copy row in
-            List.iter
-              (fun (i, v) -> row'.(i) <- Executor.eval_value binds bound v)
-              set_positions;
+            List.iter (fun (i, v) -> row'.(i) <- v env) set_positions;
             row'
           in
           match active_txn session with

@@ -326,6 +326,172 @@ let test_plan_cache_speedup () =
     true
     (tu >= 2.0 *. tc)
 
+(* ---- name resolution: messages, lazy failure, SELECT * shape ---- *)
+
+let render_rows rows =
+  String.concat ";"
+    (List.map
+       (fun r -> String.concat "," (List.map string_of_int (Array.to_list r)))
+       rows)
+
+let sql_outcome s q =
+  match E.exec s q with
+  | E.Rows { columns; rows } ->
+      Printf.sprintf "rows [%s] %s" (String.concat "," columns)
+        (render_rows rows)
+  | E.Done m -> "done " ^ m
+  | exception E.Error m -> "error: " ^ m
+
+let test_resolution_sql () =
+  let s = E.session (Relation.Catalog.create ()) in
+  List.iter
+    (fun q -> ignore (E.exec s q))
+    [ "CREATE TABLE e (a int, b int)"; "CREATE TABLE f (a int, c int)";
+      "CREATE INDEX f_ac ON f (a, c)"; "INSERT INTO e VALUES (1, 2)";
+      "INSERT INTO f VALUES (1, 5)" ];
+  E.set_collection s "probe" ~columns:[ "a"; "k" ] [ [| 1; 9 |] ];
+  List.iter
+    (fun (q, expect) -> check Alcotest.string q expect (sql_outcome s q))
+    [ ("SELECT x.a FROM e", "error: unknown alias x");
+      ("SELECT e.zz FROM e", "error: alias e has no column zz");
+      ("SELECT e.a FROM e e2", "error: unknown alias e");
+      ("SELECT nope FROM e", "error: unknown column nope");
+      ("SELECT a FROM e, f", "error: ambiguous column a");
+      ("SELECT b FROM e WHERE a = :missing",
+       "error: missing host variable :missing");
+      ("SELECT a FROM e UNION ALL SELECT count(a) FROM e",
+       "error: aggregate outside an aggregate query");
+      ("SELECT a FROM e WHERE zz = 1", "error: unknown column zz");
+      (* a filter sees only the steps bound so far, so [a] is not yet
+         ambiguous where it is evaluated *)
+      ("SELECT b FROM e, f WHERE a = 1", "rows [b] 2");
+      (* short circuit: the missing variable is never evaluated *)
+      ("SELECT b FROM e WHERE a = 5 AND b = :missing", "rows [b] ");
+      ("SELECT * FROM probe, f WHERE f.a = probe.a", "rows [a,k,a,c] 1,9,1,5");
+      ("DELETE FROM e WHERE zz = 1", "error: unknown column zz");
+      ("DELETE FROM e WHERE q.a = 1", "error: unknown alias q");
+      ("UPDATE e SET b = zz WHERE a = 1", "error: unknown column zz");
+      ("UPDATE e SET b = :h", "error: missing host variable :h");
+      ("INSERT INTO e VALUES (1, :h)", "error: missing host variable :h");
+      ("UPDATE e SET b = a WHERE e.a = 1", "done 1 rows updated");
+      ("SELECT b FROM e", "rows [b] 1") ]
+
+(* A hand-built plan: a transient collection as the outer loop and a
+   covering probe of g's (a, c) index as the inner one. The index step
+   exposes only the index columns; SELECT * drops the entry's rowid. *)
+let test_resolution_plan () =
+  let module Ir = Exec.Ir in
+  let db = Relation.Catalog.create () in
+  let tbl =
+    Relation.Catalog.create_table db ~name:"g" ~columns:[ "a"; "b"; "c" ]
+  in
+  let idx =
+    Relation.Table.create_index tbl ~name:"g_ac" ~columns:[ "a"; "c" ]
+  in
+  List.iter
+    (fun r -> ignore (Relation.Table.insert tbl r))
+    [ [| 1; 2; 5 |]; [| 2; 6; 7 |]; [| 1; 4; 3 |] ];
+  let branch ?(filters = []) projections =
+    { Ir.steps =
+        [ Ir.mk_step ~alias:"p" ~source:(Ir.Collection "probe")
+            ~columns:[| "a"; "k" |] Ir.Seq_scan;
+          Ir.mk_step ~alias:"g" ~source:(Ir.Base tbl)
+            ~columns:(Relation.Table.Index.columns idx) ~filters
+            (Ir.Index_scan
+               { index = idx; eq = [ Ir.Field (Some "p", "a") ]; lo = None;
+                 hi = None; refine_lo = None; refine_hi = None;
+                 covering = true }) ];
+      projections; group_by = [] }
+  in
+  let outcome ?(binds = []) ?(probe = [ [| 1; 9 |] ]) branches =
+    let ctx =
+      { Ir.binds;
+        collection =
+          (fun n -> if n = "probe" then Some ([| "a"; "k" |], probe) else None);
+        vis = Ir.no_vis }
+    in
+    match
+      Exec.Executor.run ctx { Ir.branches; order_by = []; limit = None }
+    with
+    | { Exec.Executor.columns; rows } ->
+        Printf.sprintf "rows [%s] %s" (String.concat "," columns)
+          (render_rows rows)
+    | exception Ir.Error m -> "error: " ^ m
+  in
+  let col a c = Ir.Col (a, c) in
+  List.iter
+    (fun (what, expect, got) -> check Alcotest.string what expect got)
+    [ ("star", "rows [a,k,a,c] 1,9,1,3;1,9,1,5",
+       outcome [ branch [ Ir.Star ] ]);
+      ("star, then a column", "rows [a,k,a,c,k] 1,9,1,3,9;1,9,1,5,9",
+       outcome [ branch [ Ir.Star; col None "k" ] ]);
+      ("unique bare column", "rows [c] 3;5",
+       outcome [ branch [ col None "c" ] ]);
+      ("unknown alias", "error: unknown alias x",
+       outcome [ branch [ col (Some "x") "a" ] ]);
+      ("covering step has no b", "error: alias g has no column b",
+       outcome [ branch [ col (Some "g") "b" ] ]);
+      ("unknown column", "error: unknown column zz",
+       outcome [ branch [ col None "zz" ] ]);
+      ("ambiguous column", "error: ambiguous column a",
+       outcome [ branch [ col None "a" ] ]);
+      ("missing host variable", "error: missing host variable :h",
+       outcome
+         [ branch
+             ~filters:[ Ir.Cmp (Ir.Eq, Ir.Field (Some "g", "c"), Ir.Param "h") ]
+             [ col (Some "g") "c" ] ]);
+      ("bound host variable", "rows [c] 5",
+       outcome ~binds:[ ("h", 5) ]
+         [ branch
+             ~filters:[ Ir.Cmp (Ir.Eq, Ir.Field (Some "g", "c"), Ir.Param "h") ]
+             [ col (Some "g") "c" ] ]);
+      ("aggregate outside an aggregate query",
+       "error: aggregate outside an aggregate query",
+       outcome
+         [ branch [ col None "c" ];
+           branch [ Ir.Agg (Ir.Count, (None, "c")) ] ]);
+      (* nothing is bound, so nothing fails *)
+      ("lazy: no outer row", "rows [a] ",
+       outcome ~probe:[] [ branch [ col None "a" ] ]) ]
+
+(* ---- allocation: the served Intersect costs about what the RI-tree's
+   own query does ---- *)
+
+let test_session_allocation_bound () =
+  let module S = Server.Session in
+  let data = Dist.generate ~seed:1 Dist.D1 ~n:20_000 ~d:2_000 in
+  let sh = S.shared ~cache_blocks:200 () in
+  S.preload sh data;
+  let sess = S.create sh in
+  let qs = Workload.Query_gen.queries ~seed:5 ~data ~count:101 0.005 in
+  let intersect q =
+    match
+      S.handle sess
+        (Server.Protocol.Intersect { lower = Ivl.lower q; upper = Ivl.upper q })
+    with
+    | Server.Protocol.Rows { rows; _ } -> List.length rows
+    | _ -> Alcotest.fail "Intersect did not answer rows"
+  in
+  (* the first call pays a one-off Stats.analyze *)
+  ignore (intersect qs.(0));
+  let qs = Array.sub qs 1 100 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    let n = Array.fold_left (fun acc q -> acc + f q) 0 qs in
+    (Gc.minor_words () -. w0, n)
+  in
+  let served, n_served = words intersect in
+  let floor, n_floor =
+    words (fun q -> List.length (Ri.intersecting (S.tree sh) q))
+  in
+  check Alcotest.int "same answers" n_floor n_served;
+  let ratio = served /. floor in
+  if ratio > 1.5 then
+    Alcotest.failf
+      "Session.handle allocates %.2fx Ri_tree.intersecting (%.0f vs %.0f \
+       minor words)"
+      ratio served floor
+
 let () =
   Alcotest.run "exec"
     [
@@ -348,4 +514,11 @@ let () =
            test_plan_cache_hit_no_parse;
          Alcotest.test_case "hit throughput >= 2x uncached" `Slow
            test_plan_cache_speedup ]);
+      ("compiled",
+       [ Alcotest.test_case "name resolution through SQL" `Quick
+           test_resolution_sql;
+         Alcotest.test_case "name resolution in a hand-built plan" `Quick
+           test_resolution_plan;
+         Alcotest.test_case "Intersect allocs <= 1.5x RI-tree"
+           `Quick test_session_allocation_bound ]);
     ]

@@ -205,6 +205,25 @@ let test_response_roundtrip () =
       | Error e -> Alcotest.failf "decode failed: %s" (P.error_to_string e))
     sample_responses
 
+(* A Rows payload re-framed under another id is byte for byte the frame
+   encoding the same response under that id; nothing else is a Rows
+   payload. *)
+let test_reframe_rows () =
+  List.iter
+    (fun resp ->
+      let payload = payload_of (P.encode_response ~id:5L resp) in
+      match resp with
+      | P.Rows _ ->
+          check Alcotest.bool "rows payload" true (P.is_rows_payload payload);
+          check Alcotest.bytes "reframed"
+            (P.encode_response ~id:77L resp)
+            (P.reframe ~id:77L payload)
+      | _ ->
+          check Alcotest.bool "not a rows payload" false
+            (P.is_rows_payload payload))
+    sample_responses;
+  check Alcotest.bool "empty payload" false (P.is_rows_payload Bytes.empty)
+
 (* ---- degraded input ---- *)
 
 let all_payloads () =
@@ -400,6 +419,7 @@ let () =
           Alcotest.test_case "explain targets" `Quick
             test_explain_targets_roundtrip;
           Alcotest.test_case "responses" `Quick test_response_roundtrip;
+          Alcotest.test_case "rows payload reframed" `Quick test_reframe_rows;
         ] );
       ( "degraded",
         [

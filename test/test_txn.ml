@@ -12,6 +12,7 @@
 
 module S = Server.Session
 module P = Server.Protocol
+module Ri = Ritree.Ri_tree
 
 (* ---- the abstract program ---- *)
 
@@ -370,10 +371,160 @@ let test_pinned_low_water () =
   S.close writer;
   S.close reader
 
+(* ---- query answers under a snapshot overlay ≡ brute force ----
+
+   A reader pins its snapshot, buffers inserts of its own, and then
+   another session commits deletes of rows the reader still sees, and
+   a third commits inserts it must not see. Every typed Intersect,
+   every Allen relation (Before/After probe with key filters) and the
+   prepared Fig. 9 node statement (a covering probe of the lower index)
+   must then answer exactly what a scan of the reader's visible rows
+   answers: the physical rows pass the visibility check, the
+   concurrently deleted ones and the reader's own inserts come from
+   the overlay. *)
+
+module Ivl = Interval.Ivl
+module Allen = Interval.Allen
+
+let gen_overlay_case =
+  QCheck.Gen.(
+    let ivl =
+      let* lo = int_range 0 900 in
+      let* w = int_range 0 120 in
+      return (lo, lo + w)
+    in
+    let* base = list_size (int_range 1 60) ivl in
+    let* own = list_size (int_range 0 8) ivl in
+    let* later = list_size (int_range 0 8) ivl in
+    let* del_mask = list_repeat (List.length base) (int_range 0 3) in
+    let* queries = list_size (int_range 1 6) ivl in
+    return (base, own, later, del_mask, queries))
+
+let arb_overlay_case =
+  let show l =
+    String.concat ","
+      (List.map (fun (a, b) -> Printf.sprintf "[%d,%d]" a b) l)
+  in
+  QCheck.make
+    ~print:(fun (base, own, later, mask, queries) ->
+      Printf.sprintf "base %s; own %s; later %s; deleted %s; queries %s"
+        (show base) (show own) (show later)
+        (String.concat "," (List.map string_of_int mask))
+        (show queries))
+    gen_overlay_case
+
+let node_stmt = "SELECT id FROM intervals WHERE node = :node AND lower <= :qup"
+
+let run_overlay_case (base, own, later, del_mask, queries) =
+  let sh = S.shared () in
+  let expect_ack what = function
+    | P.Ack _ -> ()
+    | r -> QCheck.Test.fail_reportf "%s: %s" what (resp_name r)
+  in
+  let base = Array.of_list (List.map (fun (l, u) -> Ivl.make l u) base) in
+  S.preload sh base;
+  let deleter = S.create sh and reader = S.create sh and writer = S.create sh in
+  (* about a quarter of the base rows *)
+  let deleted =
+    List.concat (List.mapi (fun id m -> if m = 0 then [ id ] else []) del_mask)
+  in
+  List.iter
+    (fun id ->
+      let q = base.(id) in
+      expect_ack "delete"
+        (S.handle deleter
+           (P.Delete { lower = Ivl.lower q; upper = Ivl.upper q; id })))
+    deleted;
+  expect_ack "begin" (S.handle reader P.Begin);
+  expect_ack "prepare"
+    (S.handle reader (P.Prepare { name = "fig9"; sql = node_stmt }));
+  let own = List.mapi (fun i (l, u) -> (10_000 + i, Ivl.make l u)) own in
+  List.iter
+    (fun (id, q) ->
+      expect_ack "own insert"
+        (S.handle reader
+           (P.Insert
+              { lower = Ivl.lower q; upper = Ivl.upper q; id = Some id })))
+    own;
+  expect_ack "commit deletes" (S.handle deleter P.Commit);
+  List.iteri
+    (fun i (l, u) ->
+      expect_ack "later insert"
+        (S.handle writer
+           (P.Insert { lower = l; upper = u; id = Some (20_000 + i) })))
+    later;
+  expect_ack "commit later inserts" (S.handle writer P.Commit);
+  (* the reader's world: every base row (its snapshot predates the
+     deletes) plus its own inserts, none of the later ones *)
+  let visible = Array.to_list (Array.mapi (fun id q -> (id, q)) base) @ own in
+  let tree = S.tree sh in
+  let triples rows =
+    List.sort compare
+      (List.map (fun (id, q) -> [| Ivl.lower q; Ivl.upper q; id |]) rows)
+  in
+  let answer what req =
+    match S.handle reader req with
+    | P.Rows { rows; _ } -> List.sort compare rows
+    | r -> QCheck.Test.fail_reportf "%s: %s" what (resp_name r)
+  in
+  let same what expect got =
+    if expect <> got then
+      QCheck.Test.fail_reportf "%s: expected %d rows, got %d (%s)" what
+        (List.length expect) (List.length got)
+        (String.concat " "
+           (List.map
+              (fun r ->
+                String.concat "," (List.map string_of_int (Array.to_list r)))
+              got))
+  in
+  List.iter
+    (fun (l, u) ->
+      let q = Ivl.make l u in
+      same
+        (Printf.sprintf "Intersect [%d,%d]" l u)
+        (triples (List.filter (fun (_, i) -> Ivl.intersects i q) visible))
+        (answer "Intersect" (P.Intersect { lower = l; upper = u }));
+      List.iter
+        (fun r ->
+          same
+            (Printf.sprintf "Allen %s [%d,%d]" (Allen.to_string r) l u)
+            (triples (List.filter (fun (_, i) -> Allen.holds r i q) visible))
+            (answer "Allen" (P.Allen { relation = r; lower = l; upper = u })))
+        Allen.all;
+      (* the node of the query's own fork and of every visible row *)
+      let nodes =
+        List.sort_uniq compare
+          (Ri.fork_node tree q
+          :: List.map (fun (_, i) -> Ri.fork_node tree i) visible)
+      in
+      List.iter
+        (fun node ->
+          same
+            (Printf.sprintf "fig9 node %d qup %d" node u)
+            (List.sort compare
+               (List.filter_map
+                  (fun (id, i) ->
+                    if Ri.fork_node tree i = node && Ivl.lower i <= u then
+                      Some [| id |]
+                    else None)
+                  visible))
+            (answer "fig9"
+               (P.Execute { name = "fig9"; params = [ node; u ] })))
+        nodes)
+    queries;
+  List.iter S.close [ deleter; reader; writer ];
+  true
+
+let prop_overlay_answers =
+  QCheck.Test.make ~count:60
+    ~name:"pinned reader: Intersect, 13 Allen, fig9 ≡ visible rows"
+    arb_overlay_case run_overlay_case
+
 let () =
   Alcotest.run "txn"
     [ ( "isolation",
         [ QCheck_alcotest.to_alcotest prop_isolation;
           QCheck_alcotest.to_alcotest prop_snapshot_stability;
           Alcotest.test_case "idle pinned session floors dead-row GC" `Quick
-            test_pinned_low_water ] ) ]
+            test_pinned_low_water;
+          QCheck_alcotest.to_alcotest prop_overlay_answers ] ) ]
