@@ -1,6 +1,6 @@
 # Convenience aliases; `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build test check bench bench-connections paper-io clean
+.PHONY: all build test check bench bench-connections paper-io loc clean
 
 all: build
 
@@ -25,6 +25,14 @@ paper-io:
 bench-connections:
 	bash -c 'ulimit -n 20000 2>/dev/null; \
 	  dune exec bin/rikit.exe -- bench-connections -o BENCH_reactor.json'
+
+# Line counts of the library, the server tier and the executables
+# (sources and interfaces).
+loc:
+	@for d in lib lib/server bin; do \
+	  printf '%-11s %6s\n' "$$d/" \
+	    "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 clean:
 	dune clean

@@ -14,6 +14,9 @@ type flush = Drained  (** buffer empty *)
   | Pending  (** bytes remain; poll for writability *)
   | Peer_gone  (** connection reset/closed under us *)
 
+(** The high-water mark when [create] is given none: 4 MiB. *)
+val default_high_water : int
+
 val create : ?high_water:int -> now:float -> Unix.file_descr -> t
 
 val fd : t -> Unix.file_descr

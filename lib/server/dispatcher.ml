@@ -22,22 +22,19 @@ let default_config =
     metrics_port = None; slow_query_ms = 0.; replica_of = None;
     backend = None; write_high_water = 4 * 1024 * 1024 }
 
-type conn = {
-  fd : Unix.file_descr;
+(* What the dispatcher keeps per client connection; {!Conn} owns the
+   socket, framing, output buffer and closing state. *)
+type conn_state = {
   session : Session.t;
-  framer : Protocol.Framer.t;
   pending : (int64 * Protocol.request) Queue.t;
-  wr : Reactor.Writer.t;
-  mutable closing : bool;  (* close once the output buffer drains *)
-  mutable force_close : bool;  (* close this tick, drained or not *)
-  mutable overflow : bool;  (* write buffer burst its high-water mark *)
-  mutable last_active : float;  (* last byte received; idle reaping *)
   mutable repl_from : int option;
       (* Some lsn: this connection subscribed to the journal stream and
          the next frame shipped to it starts at [lsn] *)
   mutable repl_id : int64;  (* request id the frames answer under *)
   mutable repl_acked : int;  (* highest Repl_ack received *)
 }
+
+type conn = conn_state Conn.t
 
 (* The replica's link back to its primary: one client connection
    carrying the Repl_subscribe and the frame stream. The dial is fully
@@ -52,6 +49,7 @@ type upstream = {
   mutable uconnected : bool;
   mutable uframer : Protocol.Framer.t;
   engine : Replica.t;
+  ubuf : Bytes.t;  (* read buffer, reused by every read *)
   mutable utimer : Reactor.timer option;  (* redial backoff or connect bound *)
 }
 
@@ -59,16 +57,8 @@ type t = {
   cfg : config;
   sh : Session.shared;
   st : Server_stats.t;
-  reactor : Reactor.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  metrics_fd : Unix.file_descr option;
-  metrics_bound_port : int;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  mutable stopping : bool;
-  mutable conns : conn list;
-  mutable nconns : int;  (* length of [conns]; admission is O(1) *)
+  front : conn_state Conn.front;
+  reactor : Reactor.t;  (* the front end's *)
   mutable queued : int;  (* total pending requests across connections *)
   mutable pending_commits : (conn * int64 * float) list;
       (* COMMITs staged in the open group-commit window, newest first;
@@ -80,49 +70,16 @@ type t = {
          LSN (the int). Released immediately when no subscriber is
          connected (asynchronous fallback). *)
   upstream : upstream option;  (* Some _ iff cfg.replica_of is set *)
-  mutable http : Http_endpoint.t option;  (* live while serving *)
 }
 
-(* A standby that stops draining its stream holds the semi-sync ack
-   floor down and would pin its bounded write buffer full forever; past
-   this stall it is cut loose (it resubscribes from its applied LSN on
-   reconnect, losing nothing). *)
-let repl_stall_timeout = 5.0
-
-(* A non-subscriber whose socket accepts nothing for this long while
-   output is pending is gone in all but name. With idle reaping on,
-   the idle timeout governs instead. *)
-let default_stall_grace = 5.0
-
 let create ?(config = default_config) sh =
-  (* A peer hanging up mid-write must surface as EPIPE, not kill the
-     daemon. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd 128;
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let metrics_fd, metrics_bound_port =
-    match config.metrics_port with
-    | None -> (None, 0)
-    | Some p ->
-        let mfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt mfd Unix.SO_REUSEADDR true;
-        Unix.bind mfd
-          (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, p));
-        Unix.listen mfd 16;
-        let bp =
-          match Unix.getsockname mfd with
-          | Unix.ADDR_INET (_, bp) -> bp
-          | _ -> p
-        in
-        (Some mfd, bp)
+  let front =
+    Conn.bind
+      { Conn.label = "server"; host = config.host; port = config.port;
+        metrics_port = config.metrics_port; backend = config.backend;
+        max_sessions = config.max_sessions;
+        write_high_water = config.write_high_water;
+        idle_timeout = config.idle_timeout }
   in
   (* Slow-query logging reports the request's trace tree, so the tracer
      must be on for the spans to exist. *)
@@ -148,40 +105,33 @@ let create ?(config = default_config) sh =
             uconnected = false;
             uframer = Protocol.Framer.create ();
             engine = Replica.create ();
+            ubuf = Bytes.create 65536;
             utimer = None;
           }
   in
-  let stop_r, stop_w = Unix.pipe () in
   {
     cfg = config;
     sh;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
-    reactor = Reactor.create ?backend:config.backend ();
-    listen_fd = fd;
-    bound_port;
-    metrics_fd;
-    metrics_bound_port;
-    stop_r;
-    stop_w;
-    stopping = false;
-    conns = [];
-    nconns = 0;
+    front;
+    reactor = Conn.reactor front;
     queued = 0;
     pending_commits = [];
     commit_timer = None;
     parked_acks = [];
     upstream;
-    http = None;
   }
 
-let port t = t.bound_port
-let metrics_port t = t.metrics_bound_port
+let port t = Conn.port t.front
+let metrics_port t = Conn.metrics_port t.front
 let stats t = t.st
 let shared t = t.sh
 let backend t = Reactor.backend t.reactor
 
 let subscribers t =
-  List.filter (fun c -> c.repl_from <> None && not c.closing) t.conns
+  List.filter
+    (fun c -> (Conn.state c).repl_from <> None && not (Conn.closing c))
+    (Conn.conns t.front)
 
 let metrics_doc t =
   let repl =
@@ -212,63 +162,8 @@ let metrics_doc t =
     ~cat:(Session.catalog t.sh) ~memtier:(Session.memtier t.sh)
     ~txns:(Session.txns t.sh) ()
 
-let stop t =
-  (* A single byte on the self-pipe wakes the reactor; writing is
-     async-signal-safe, so Ctrl-C handlers may call this directly. *)
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error _ -> ()
-
-let release_listener t =
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-
-(* ---------------- output ---------------- *)
-
-let output_pending conn = Reactor.Writer.has_pending conn.wr
-
-(* Queue a frame under the backpressure contract. A connection whose
-   buffer bursts the high-water mark is a consumer slower than the
-   server for longer than the bound can absorb: it gets one typed
-   Overloaded frame (allowed past the mark so the close is explicable
-   on the wire), its unanswered requests are dropped, and the
-   connection closes once — and only if — the client drains what was
-   already owed. Replication subscribers are never cut here: shipping
-   is flow-controlled in [pump_replication] and a genuinely stalled
-   standby is reaped by [repl_stall_timeout]. *)
-let push_frame t conn frame =
-  if not (conn.force_close || conn.overflow) then begin
-    let under_hw = Reactor.Writer.push conn.wr frame in
-    if (not under_hw) && conn.repl_from = None then begin
-      conn.overflow <- true;
-      conn.closing <- true;
-      Server_stats.overloaded t.st;
-      ignore
-        (Reactor.Writer.push conn.wr
-           (Protocol.encode_response ~id:0L
-              (Protocol.Overloaded
-                 (Printf.sprintf
-                    "slow consumer: write buffer over %d bytes, closing"
-                    (Reactor.Writer.high_water conn.wr)))));
-      t.queued <- t.queued - Queue.length conn.pending;
-      Queue.clear conn.pending;
-      Server_stats.queue_depth t.st t.queued
-    end
-  end
-
-let push_response t conn id resp =
-  push_frame t conn (Protocol.encode_response ~id resp)
-
-(* Write what the socket accepts and keep poll interest equal to "has
-   pending bytes" — write interest on an idle socket would spin the
-   loop. *)
-let flush_conn t conn =
-  if output_pending conn then begin
-    match Reactor.Writer.flush conn.wr ~now:(Unix.gettimeofday ()) with
-    | Reactor.Writer.Drained | Reactor.Writer.Pending -> ()
-    | Reactor.Writer.Peer_gone ->
-        conn.closing <- true;
-        conn.force_close <- true
-  end;
-  Reactor.set_write_interest t.reactor conn.fd (output_pending conn)
+let stop t = Conn.stop t.front
+let release_listener t = Conn.release_listener t.front
 
 (* ---------------- semi-synchronous commit acks ---------------- *)
 
@@ -282,7 +177,7 @@ let release_parked_acks t =
   | parked ->
       let floor =
         List.fold_left
-          (fun acc c -> min acc c.repl_acked)
+          (fun acc c -> min acc (Conn.state c).repl_acked)
           max_int (subscribers t)
       in
       let ready, still =
@@ -291,7 +186,7 @@ let release_parked_acks t =
       t.parked_acks <- still;
       List.iter
         (fun (conn, id, _, resp) ->
-          if List.memq conn t.conns then push_response t conn id resp)
+          if not (Conn.dead conn) then Conn.push_response conn id resp)
         (List.rev ready)
 
 (* Park a commit Ack until the subscribers catch up — or push it right
@@ -300,7 +195,7 @@ let release_parked_acks t =
    force and ack can lose nothing a client was told was committed, and
    a replica promoted after a primary kill holds every acked write. *)
 let park_or_push t conn id ~lsn resp =
-  if subscribers t = [] then push_response t conn id resp
+  if subscribers t = [] then Conn.push_response conn id resp
   else t.parked_acks <- (conn, id, lsn, resp) :: t.parked_acks
 
 (* ---------------- group-commit window ---------------- *)
@@ -337,7 +232,7 @@ let flush_group_commits t =
             if i = 0 then io - (io_share * (count - 1)) else io_share
           in
           Server_stats.record t.st ~op:"commit" ~seconds:(now -. t0) ~io;
-          if List.memq conn t.conns then
+          if not (Conn.dead conn) then
             park_or_push t conn id ~lsn
               (Protocol.Ack
                  (Printf.sprintf
@@ -346,183 +241,53 @@ let flush_group_commits t =
 
 (* ---------------- connection lifecycle ---------------- *)
 
-let close_conn t conn =
-  if List.memq conn t.conns then begin
-    t.conns <- List.filter (fun c -> c != conn) t.conns;
-    t.nconns <- t.nconns - 1;
-    t.queued <- t.queued - Queue.length conn.pending;
-    Server_stats.queue_depth t.st t.queued;
-    Queue.clear conn.pending;
-    (* Purge COMMITs the dead connection staged in the open window:
-       nobody is owed the Ack and its latency must not pollute the
-       histogram. The journal-staged intent is already applied and must
-       still be forced — if no live staging remains to carry the window,
-       force it now rather than leaving acknowledged-to-nobody writes
-       hanging on a deadline that was just cleared. *)
-    let mine, others =
-      List.partition (fun (c, _, _) -> c == conn) t.pending_commits
-    in
-    if mine <> [] then begin
-      t.pending_commits <- others;
-      if others = [] then begin
-        clear_commit_timer t;
-        ignore (Session.commit_force_shared t.sh)
-      end
-    end;
-    (* Acks parked for the dead connection are owed to nobody. *)
-    t.parked_acks <-
-      List.filter (fun (c, _, _, _) -> c != conn) t.parked_acks;
-    Session.close conn.session;
-    Server_stats.session_closed t.st;
-    Reactor.deregister t.reactor conn.fd;
-    (* Drain unread inbound bytes before closing: close(2) with data
-       still in the receive queue makes the kernel answer with RST,
-       which destroys the typed goodbye frame in flight to the peer.
-       Bounded — a peer still spraying bytes gets the reset it earned. *)
-    (let scratch = Bytes.create 65536 in
-     let rec drain n =
-       if n > 0 then
-         match Unix.read conn.fd scratch 0 65536 with
-         | 0 -> ()
-         | _ -> drain (n - 1)
-         | exception Unix.Unix_error _ -> ()
-     in
-     drain 16);
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    (* A dead subscriber no longer holds the ack floor down; recompute
-       it over the survivors (or release everything if none remain). *)
-    if conn.repl_from <> None then release_parked_acks t
-  end
+(* The connection was cut off (or closed): its parsed requests will
+   never be answered. *)
+let drop_pending t conn =
+  let s = Conn.state conn in
+  t.queued <- t.queued - Queue.length s.pending;
+  Queue.clear s.pending;
+  Server_stats.queue_depth t.st t.queued
 
-let reject_connection t fd reason =
-  (* One typed Overloaded frame, then the door. The socket is fresh
-     (blocking) and the frame small, but a single write is still
-     allowed to be short — e.g. a tiny send buffer on a slow client —
-     and a truncated frame would be undecodable, so loop until the
-     whole frame is out. *)
-  Server_stats.overloaded t.st;
-  let frame = Protocol.encode_response ~id:0L (Protocol.Overloaded reason) in
-  let len = Bytes.length frame in
-  let rec write_all off =
-    if off < len then
-      match Unix.write fd frame off (len - off) with
-      | 0 -> ()
-      | n -> write_all (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-      | exception Unix.Unix_error _ -> ()
+let conn_closed t conn =
+  drop_pending t conn;
+  (* Purge COMMITs the dead connection staged in the open window: nobody
+     is owed the Ack and its latency must not pollute the histogram. The
+     journal-staged intent is already applied and must still be forced —
+     if no live staging remains to carry the window, force it now rather
+     than leaving acknowledged-to-nobody writes hanging on a deadline
+     that was just cleared. *)
+  let mine, others =
+    List.partition (fun (c, _, _) -> c == conn) t.pending_commits
   in
-  write_all 0;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  if mine <> [] then begin
+    t.pending_commits <- others;
+    if others = [] then begin
+      clear_commit_timer t;
+      ignore (Session.commit_force_shared t.sh)
+    end
+  end;
+  (* Acks parked for the dead connection are owed to nobody. *)
+  t.parked_acks <- List.filter (fun (c, _, _, _) -> c != conn) t.parked_acks;
+  Session.close (Conn.state conn).session;
+  (* A dead subscriber no longer holds the ack floor down; recompute it
+     over the survivors (or release everything if none remain). *)
+  if (Conn.state conn).repl_from <> None then release_parked_acks t
 
 (* ---------------- input ---------------- *)
 
 let enqueue_request t conn id req =
   if t.queued >= t.cfg.max_queue then begin
     Server_stats.overloaded t.st;
-    push_response t conn id
+    Conn.push_response conn id
       (Protocol.Overloaded
          (Printf.sprintf "request queue full (%d pending)" t.queued))
   end
   else begin
-    Queue.add (id, req) conn.pending;
+    Queue.add (id, req) (Conn.state conn).pending;
     t.queued <- t.queued + 1;
     Server_stats.queue_depth t.st t.queued
   end
-
-let drain_frames t conn =
-  let continue = ref true in
-  while !continue do
-    match Protocol.Framer.next conn.framer with
-    | Ok None -> continue := false
-    | Ok (Some payload) -> (
-        match Protocol.decode_request payload with
-        | Ok (id, req) -> enqueue_request t conn id req
-        | Result.Error err ->
-            push_response t conn 0L
-              (Protocol.Error (Protocol.error_to_string err)))
-    | Result.Error err ->
-        (* Length prefix beyond max_payload: the byte stream is beyond
-           recovery. Answer, then close after the answer drains. *)
-        push_response t conn 0L
-          (Protocol.Error (Protocol.error_to_string err));
-        conn.closing <- true;
-        continue := false
-  done
-
-let read_conn t conn =
-  let scratch = Bytes.create 65536 in
-  match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
-  | 0 -> close_conn t conn
-  | n when conn.closing ->
-      (* A cut-off consumer gets no further service; discarding (rather
-         than ignoring) its bytes keeps the receive queue empty so the
-         eventual close delivers the final typed frame instead of an
-         RST. *)
-      ignore n
-  | n ->
-      conn.last_active <- Unix.gettimeofday ();
-      Protocol.Framer.feed conn.framer scratch n;
-      drain_frames t conn
-  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-    -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn t conn
-
-let accept_connections t =
-  (* Drain the whole accept backlog: with thousands of clients dialling
-     at once, one accept per readiness wakeup would leave most of the
-     burst waiting a full loop turn each. *)
-  let continue = ref true in
-  while !continue do
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-      -> continue := false
-    | exception Unix.Unix_error _ -> continue := false
-    | fd, _peer ->
-        if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else if t.nconns >= t.cfg.max_sessions then
-          reject_connection t fd
-            (Printf.sprintf "server at session limit (%d)" t.cfg.max_sessions)
-        else if
-          Reactor.backend t.reactor = Reactor.Backend.Select
-          && Reactor.Backend.fd_int fd > Reactor.Backend.select_fd_limit
-        then
-          (* The select fallback cannot wait on fds this high; a typed
-             refusal beats a crashed loop. The poll backend has no such
-             ceiling. *)
-          reject_connection t fd
-            (Printf.sprintf "select backend cannot serve fd %d (limit %d)"
-               (Reactor.Backend.fd_int fd) Reactor.Backend.select_fd_limit)
-        else begin
-          Unix.set_nonblock fd;
-          let conn =
-            {
-              fd;
-              session = Session.create t.sh;
-              framer = Protocol.Framer.create ();
-              pending = Queue.create ();
-              wr =
-                Reactor.Writer.create ~high_water:t.cfg.write_high_water
-                  ~now:(Unix.gettimeofday ()) fd;
-              closing = false;
-              force_close = false;
-              overflow = false;
-              last_active = Unix.gettimeofday ();
-              repl_from = None;
-              repl_id = 0L;
-              repl_acked = 0;
-            }
-          in
-          t.conns <- conn :: t.conns;
-          t.nconns <- t.nconns + 1;
-          Reactor.register t.reactor fd
-            ~readable:(fun () -> read_conn t conn)
-            ~writable:(fun () -> flush_conn t conn)
-            ();
-          Reactor.set_write_interest t.reactor fd false;
-          Server_stats.session_opened t.st
-        end
-  done
 
 (* ---------------- execution ---------------- *)
 
@@ -560,30 +325,31 @@ let log_slow_query t ~seconds sp =
    concern connections and the shared journal, never a session's
    transaction. *)
 let handle_repl t conn id req =
+  let s = Conn.state conn in
   match req with
   | Protocol.Repl_subscribe { from_lsn } -> (
       if t.upstream <> None then
-        push_response t conn id
+        Conn.push_response conn id
           (Protocol.Error "this server is a replica; subscribe to the primary")
       else
         match Relation.Catalog.journal (Session.catalog t.sh) with
         | None ->
-            push_response t conn id
+            Conn.push_response conn id
               (Protocol.Error "replication requires a durable server")
         | Some j ->
             let base = Storage.Journal.base_lsn j in
             let dur = Storage.Journal.durable_lsn j in
             if from_lsn < base || from_lsn > dur then
-              push_response t conn id
+              Conn.push_response conn id
                 (Protocol.Invalid
                    (Printf.sprintf
                       "from_lsn %d outside retained log [%d, %d]" from_lsn
                       base dur))
             else begin
-              conn.repl_from <- Some from_lsn;
-              conn.repl_id <- id;
-              conn.repl_acked <- from_lsn;
-              push_response t conn id
+              s.repl_from <- Some from_lsn;
+              s.repl_id <- id;
+              s.repl_acked <- from_lsn;
+              Conn.push_response conn id
                 (Protocol.Repl_state
                    { role = Protocol.Primary; durable_lsn = dur;
                      applied_lsn = dur })
@@ -592,8 +358,8 @@ let handle_repl t conn id req =
       (* Fire-and-forget: no response frame. Only meaningful from a
          subscribed connection; raising the floor may free parked
          commit Acks. *)
-      if conn.repl_from <> None && lsn > conn.repl_acked then begin
-        conn.repl_acked <- lsn;
+      if s.repl_from <> None && lsn > s.repl_acked then begin
+        s.repl_acked <- lsn;
         release_parked_acks t
       end
   | Protocol.Repl_status ->
@@ -610,15 +376,15 @@ let handle_repl t conn id req =
               { role = Protocol.Primary; durable_lsn = lsn;
                 applied_lsn = lsn }
       in
-      push_response t conn id state
+      Conn.push_response conn id state
   | Protocol.Shard_map_req ->
       (* An unsharded server is a degenerate one-shard cluster: a single
          range covering the whole interval space. Clients discover
          topology the same way against rikitd and the router. *)
-      push_response t conn id
+      Conn.push_response conn id
         (Protocol.Shard_map
            [ { Protocol.shard_lo = min_int; shard_hi = max_int;
-               endpoints = [ (t.cfg.host, t.bound_port) ] } ])
+               endpoints = [ (t.cfg.host, port t) ] } ])
   | _ -> assert false
 
 let execute_one t conn id req =
@@ -635,7 +401,7 @@ let execute_one t conn id req =
          the window for everyone and the force would touch a damaged
          image. *)
       let reason = Option.get (Session.degraded_reason_shared t.sh) in
-      push_response t conn id
+      Conn.push_response conn id
         (Protocol.Read_only
            (Printf.sprintf "server is read-only: %s" reason))
   | Protocol.Commit when t.cfg.group_commit > 0. -> (
@@ -643,7 +409,7 @@ let execute_one t conn id req =
          which aborted the transaction without staging anything and is
          answered immediately. The window close is a reactor timer, not
          loop timeout math. *)
-      match Session.stage_commit conn.session with
+      match Session.stage_commit (Conn.state conn).session with
       | Ok () ->
           let now = Unix.gettimeofday () in
           t.pending_commits <- (conn, id, now) :: t.pending_commits;
@@ -653,9 +419,9 @@ let execute_one t conn id req =
                 (Reactor.after t.reactor t.cfg.group_commit (fun () ->
                      t.commit_timer <- None;
                      flush_group_commits t))
-      | Result.Error m -> push_response t conn id (Protocol.Conflict m)
+      | Result.Error m -> Conn.push_response conn id (Protocol.Conflict m)
       | exception e ->
-          push_response t conn id
+          Conn.push_response conn id
             (Protocol.Error ("commit failed: " ^ Printexc.to_string e)))
   | req ->
       (* A rollback must not outrun COMMITs already staged ahead of it:
@@ -681,7 +447,7 @@ let execute_one t conn id req =
                returns it only when tracing is enabled. *)
             Harness.Measure.timed_io (Session.catalog t.sh) (fun () ->
                 Obs.Trace.traced ~info:op "request" (fun () ->
-                    Session.handle conn.session req))
+                    Session.handle (Conn.state conn).session req))
       in
       Server_stats.record t.st ~op ~seconds ~io;
       (match span with
@@ -695,23 +461,24 @@ let execute_one t conn id req =
       (match (req, resp) with
       | Protocol.Commit, Protocol.Ack _ ->
           park_or_push t conn id ~lsn:(Session.durable_lsn_shared t.sh) resp
-      | _ -> push_response t conn id resp)
+      | _ -> Conn.push_response conn id resp)
 
 let execute_round t ~limit =
   (* Round-robin: one request per ready session per pass, so a chatty
      pipeliner cannot starve its neighbours. The accept-order snapshot
-     is taken once — re-reversing [t.conns] every pass made a 64-session
+     is taken once — re-reversing the connection list every pass made a 64-session
      pipelined tick quadratic in allocation. A connection closed by an
      earlier pass is skipped naturally: close_conn clears its queue. *)
-  let order = List.rev t.conns in
+  let order = List.rev (Conn.conns t.front) in
   let budget = ref limit in
   let progress = ref true in
   while !budget > 0 && !progress do
     progress := false;
     List.iter
       (fun conn ->
-        if !budget > 0 && not (Queue.is_empty conn.pending) then begin
-          let id, req = Queue.take conn.pending in
+        let pending = (Conn.state conn).pending in
+        if !budget > 0 && not (Queue.is_empty pending) then begin
+          let id, req = Queue.take pending in
           execute_one t conn id req;
           decr budget;
           progress := true
@@ -738,71 +505,24 @@ let pump_replication t =
       let dur = Storage.Journal.durable_lsn j in
       List.iter
         (fun conn ->
-          match conn.repl_from with
+          let s = Conn.state conn in
+          match s.repl_from with
           | Some cur when cur < dur ->
               let cursor = ref cur in
-              while
-                !cursor < dur
-                && Reactor.Writer.pending_bytes conn.wr
-                   < Reactor.Writer.high_water conn.wr
-              do
+              while !cursor < dur && Conn.has_room conn do
                 let payload =
                   Storage.Journal.stream_from ~max_bytes:repl_chunk_bytes j
                     !cursor
                 in
-                push_response t conn conn.repl_id
+                Conn.push_response conn s.repl_id
                   (Protocol.Repl_frame
                      { lsn = !cursor;
                        payload = Bytes.unsafe_to_string payload });
                 cursor := !cursor + Bytes.length payload
               done;
-              conn.repl_from <- Some !cursor
+              s.repl_from <- Some !cursor
           | _ -> ())
         (subscribers t)
-
-(* ---------------- housekeeping (idle + stalled consumers) ------------ *)
-
-(* A leaked client — connected, silent, holding a session against
-   max_sessions — gets a typed goodbye and the door. Only genuinely
-   quiescent connections qualify: anything with parsed-but-unanswered
-   requests or undrained output is still being served. *)
-let reap_idle t now =
-  if t.cfg.idle_timeout > 0. then
-    List.iter
-      (fun conn ->
-        if
-          (not conn.closing)
-          && conn.repl_from = None
-          (* a subscriber legitimately sends nothing for long stretches
-             on an idle primary — reaping it would force a pointless
-             resubscribe cycle *)
-          && Queue.is_empty conn.pending
-          && (not (output_pending conn))
-          && now -. conn.last_active > t.cfg.idle_timeout
-        then begin
-          push_response t conn 0L
-            (Protocol.Goodbye
-               (Printf.sprintf "idle for %.0fs, closing" t.cfg.idle_timeout));
-          conn.closing <- true
-        end)
-      t.conns
-
-(* Consumers with pending output that accept no bytes at all: bounded
-   buffers stop the memory bleed, this stops the fd bleed. *)
-let reap_stalled t now =
-  List.iter
-    (fun conn ->
-      let stalled = Reactor.Writer.stalled_for conn.wr ~now in
-      let limit =
-        if conn.repl_from <> None then repl_stall_timeout
-        else if t.cfg.idle_timeout > 0. then t.cfg.idle_timeout
-        else default_stall_grace
-      in
-      if stalled > limit then begin
-        conn.closing <- true;
-        conn.force_close <- true
-      end)
-    t.conns
 
 (* ---------------- the upstream link (replica side) ---------------- *)
 
@@ -818,7 +538,7 @@ let clear_utimer t u =
 
 let rec schedule_redial t u delay =
   clear_utimer t u;
-  if not t.stopping then
+  if not (Conn.stopping t.front) then
     u.utimer <-
       Some
         (Reactor.after t.reactor delay (fun () ->
@@ -842,19 +562,10 @@ and drop_upstream t u =
    take over rather than blocking the serve loop. *)
 and send_upstream t u req =
   match u.ufd with
-  | None -> ()
-  | Some fd -> (
-      let frame = Protocol.encode_request ~id:1L req in
-      let len = Bytes.length frame in
-      let rec write_all off =
-        if off < len then
-          match Unix.write fd frame off (len - off) with
-          | 0 -> drop_upstream t u
-          | n -> write_all (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-          | exception Unix.Unix_error _ -> drop_upstream t u
-      in
-      try write_all 0 with Unix.Unix_error _ -> drop_upstream t u)
+  | Some fd when not (Conn.write_all fd (Protocol.encode_request ~id:1L req))
+    ->
+      drop_upstream t u
+  | _ -> ()
 
 and on_upstream_connected t u fd =
   clear_utimer t u;
@@ -875,7 +586,7 @@ and on_upstream_connected t u fd =
    timer instead of the old fixed 0.25 s select that froze every
    session (and quantized commit-ack latency) per attempt. *)
 and dial_upstream t u =
-  if not (t.stopping || u.ufd <> None) then begin
+  if not (Conn.stopping t.front || u.ufd <> None) then begin
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match
       let addr = Unix.ADDR_INET (Unix.inet_addr_of_string u.uhost, u.uport) in
@@ -926,11 +637,10 @@ and apply_upstream_frame t u ~lsn payload =
       drop_upstream t u
 
 and read_upstream t u fd =
-  let scratch = Bytes.create 65536 in
-  match Unix.read fd scratch 0 (Bytes.length scratch) with
+  match Unix.read fd u.ubuf 0 (Bytes.length u.ubuf) with
   | 0 -> drop_upstream t u
   | n ->
-      Protocol.Framer.feed u.uframer scratch n;
+      Protocol.Framer.feed u.uframer u.ubuf n;
       let continue = ref true in
       while !continue && u.ufd <> None do
         match Protocol.Framer.next u.uframer with
@@ -956,80 +666,64 @@ and read_upstream t u fd =
 (* ---------------- the loop ---------------- *)
 
 let serve t =
-  let scratch = Bytes.create 16 in
-  let finished = ref false in
-  let r = t.reactor in
-  Unix.set_nonblock t.listen_fd;
-  Reactor.register r t.stop_r
-    ~readable:(fun () ->
-      (try ignore (Unix.read t.stop_r scratch 0 (Bytes.length scratch))
-       with Unix.Unix_error _ -> ());
-      t.stopping <- true;
-      Reactor.set_read_interest r t.listen_fd false;
-      match t.http with Some h -> Http_endpoint.stop_accepting h | None -> ())
-    ();
-  Reactor.register r t.listen_fd ~readable:(fun () -> accept_connections t) ();
-  (match t.metrics_fd with
-  | Some mfd ->
-      t.http <- Some (Http_endpoint.attach r ~fd:mfd ~doc:(fun () -> metrics_doc t))
-  | None -> ());
+  Conn.start t.front
+    {
+      Conn.accept =
+        (fun () ->
+          { session = Session.create t.sh; pending = Queue.create ();
+            repl_from = None; repl_id = 0L; repl_acked = 0 });
+      request = enqueue_request t;
+      busy = (fun c -> not (Queue.is_empty (Conn.state c).pending));
+      (* Replication subscribers are never cut for a full buffer:
+         shipping is flow-controlled in [pump_replication] and a
+         genuinely stalled standby is reaped by the stall timeout (it
+         resubscribes from its applied LSN on reconnect, losing
+         nothing). *)
+      flow_controlled = (fun c -> (Conn.state c).repl_from <> None);
+      drop = drop_pending t;
+      closed = conn_closed t;
+      with_stats = (fun f -> f t.st);
+      metrics_doc = (fun () -> metrics_doc t);
+    };
   (match t.upstream with Some u -> dial_upstream t u | None -> ());
-  (* Housekeeping cadence: with idle reaping on, wake often enough that
-     a connection is closed within ~a quarter timeout of earning it. *)
-  let housekeeping_period =
-    if t.cfg.idle_timeout > 0. then
-      Float.min 1.0 (Float.max 0.02 (t.cfg.idle_timeout /. 4.))
-    else 0.5
-  in
-  let rec housekeeping () =
-    let now = Unix.gettimeofday () in
-    if not t.stopping then reap_idle t now;
-    reap_stalled t now;
-    if not !finished then
-      ignore (Reactor.after r housekeeping_period housekeeping)
-  in
-  ignore (Reactor.after r housekeeping_period housekeeping);
+  let finished = ref false in
   while not !finished do
     (* Sleep only when idle: with requests still queued (an execute
        round is inflight-capped) the next round must run immediately. *)
-    let timeout = if t.queued > 0 || t.stopping then 0. else 1.0 in
-    Reactor.run_once r ~max_timeout:timeout;
-    execute_round t
-      ~limit:(if t.stopping then t.queued else t.cfg.max_inflight);
+    let timeout =
+      if t.queued > 0 || Conn.stopping t.front then 0. else 1.0
+    in
+    Reactor.run_once t.reactor ~max_timeout:timeout;
+    let stopping = Conn.stopping t.front in
+    execute_round t ~limit:(if stopping then t.queued else t.cfg.max_inflight);
     (* The window's deadline is a timer; what remains inline is the
        early close — as soon as no live session holds buffered writes,
        no further COMMIT can join the batch and waiting only delays the
        acknowledgements (the commit-siblings rule). *)
     if
       t.pending_commits <> []
-      && (t.stopping
+      && (stopping
          || not
               (List.exists
                  (fun c ->
-                   (not c.closing) && Session.has_pending_writes c.session)
-                 t.conns))
+                   (not (Conn.closing c))
+                   && Session.has_pending_writes (Conn.state c).session)
+                 (Conn.conns t.front)))
     then flush_group_commits t;
     (* Ship anything the window flush (or a synchronous commit, or a
        write-back) just made durable. *)
     pump_replication t;
-    List.iter (fun conn -> flush_conn t conn) t.conns;
-    List.iter
-      (fun conn ->
-        if conn.force_close || (conn.closing && not (output_pending conn))
-        then close_conn t conn)
-      t.conns;
-    if t.stopping && t.queued = 0 then begin
+    Conn.flush_dirty t.front;
+    if stopping && t.queued = 0 then begin
       (* Everything parsed has been answered; push the last bytes out
          (sockets willing) and leave. Parked semi-sync acks are
          released as-is — their writes are durable locally and the
          stream to any subscriber was already pumped. *)
       List.iter
         (fun (conn, id, _, resp) ->
-          if List.memq conn t.conns then push_response t conn id resp)
+          if not (Conn.dead conn) then Conn.push_response conn id resp)
         (List.rev t.parked_acks);
       t.parked_acks <- [];
-      List.iter (fun conn -> flush_conn t conn) t.conns;
-      List.iter (fun conn -> close_conn t conn) t.conns;
       finished := true
     end
   done;
@@ -1040,15 +734,5 @@ let serve t =
       | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
       | None -> ())
   | None -> ());
-  (match t.http with
-  | Some h ->
-      Http_endpoint.close_all h;
-      t.http <- None
-  | None -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.metrics_fd with
-  | Some mfd -> ( try Unix.close mfd with Unix.Unix_error _ -> ())
-  | None -> ());
-  (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
+  Conn.shutdown t.front;
   Session.flush_shared t.sh

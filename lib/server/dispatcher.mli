@@ -13,25 +13,15 @@
     buffers (sockets are non-blocking; a slow reader never stalls the
     loop).
 
-    Output is bounded: each connection writes through a
-    {!Reactor.Writer} capped at [write_high_water] bytes. A consumer
-    that lets the buffer burst the cap gets one typed [Overloaded]
-    frame and is closed once what it was owed drains (or when it stalls
-    outright); a replication subscriber is instead flow-controlled —
-    shipping pauses until it drains — and cut only after a hard stall,
-    so one wedged standby can never grow an unbounded buffer or hold
-    every session's commit acks hostage.
-
-    Admission control is typed, never silent:
-
-    - a connection beyond [max_sessions] is answered with one
-      [Overloaded] frame (request id 0) and closed;
-    - a request arriving while [max_queue] requests are already parsed
-      but unexecuted gets an [Overloaded] response instead of a seat in
-      the queue;
-    - a malformed payload gets a typed [Error] response; only a framing
-      desync (oversized length prefix) closes the connection, again
-      after a typed response.
+    Connections follow the wire contract of {!Conn}: typed admission
+    refusals, typed errors for malformed payloads, bounded output with
+    a typed slow-consumer cut-off, stall and idle reaping. Replication
+    subscribers are the flow-controlled connections: shipping pauses
+    until one drains, and it is cut only after a hard stall, so one
+    wedged standby can never grow an unbounded buffer or hold every
+    session's commit acks hostage. In addition, a request arriving
+    while [max_queue] requests are already parsed but unexecuted gets
+    an [Overloaded] response instead of a seat in the queue.
 
     {!stop} is thread- and signal-safe (self-pipe); {!serve} then stops
     accepting, answers everything already queued, flushes the buffer
@@ -90,12 +80,9 @@ type config = {
           poll(2) stub when functional, else the [Unix.select]
           fallback. Forcing [Select] (also reachable via the
           [RIKIT_REACTOR_BACKEND] environment variable) caps the server
-          at select's fd ceiling — connections whose fd number exceeds
-          it are refused with a typed [Overloaded] frame instead of
-          crashing the loop. *)
+          at select's fd ceiling (see {!Conn}). *)
   write_high_water : int;
-      (** per-connection output buffer bound in bytes. See the
-          backpressure contract above. *)
+      (** per-connection output buffer bound in bytes (see {!Conn}). *)
 }
 
 val default_config : config

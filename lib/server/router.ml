@@ -181,20 +181,18 @@ let default_config =
 
 (* ---------------- per-connection state ---------------- *)
 
-type conn = {
-  c_fd : Unix.file_descr;
-  framer : Protocol.Framer.t;
-  wr : Reactor.Writer.t;
+(* What the router keeps per client connection; {!Conn} owns the
+   socket, framing, output buffer and closing state. *)
+type conn_state = {
   legs : Failover.t option array;  (* lazily dialled, one per shard *)
   begun : bool array;  (* leg has an open BEGIN on its shard session *)
   mutable in_txn : bool;
   jobs : (int64 * Protocol.request) Queue.t;
       (* decoded requests waiting their turn (reactor thread only) *)
   mutable inflight : bool;  (* a worker owns this connection's head job *)
-  mutable closing : bool;  (* drain the write buffer, then close *)
-  mutable force_close : bool;
-  mutable dead : bool;  (* fd closed and deregistered *)
 }
+
+type conn = conn_state Conn.t
 
 type job = conn * int64 * Protocol.request
 type done_msg = conn * Bytes.t option (* the response frame, if any *)
@@ -206,17 +204,12 @@ type reply = Answer of Protocol.response | Forward of Bytes.t
 type t = {
   cfg : config;
   map : Map.t;
-  reactor : Reactor.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  metrics_fd : Unix.file_descr option;
-  metrics_bound_port : int;
+  front : conn_state Conn.front;
+  reactor : Reactor.t;  (* the front end's *)
   st : Server_stats.t;
   mu : Mutex.t;
       (* guards st and the shard_* / partials counters: worker threads
          record into them while the reactor thread snapshots *)
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
   wake_r : Unix.file_descr;  (* workers → reactor: completions pending *)
   wake_w : Unix.file_descr;
   wq : job Queue.t;  (* reactor → workers *)
@@ -225,10 +218,7 @@ type t = {
   mutable wq_stop : bool;
   dq : done_msg Queue.t;  (* workers → reactor *)
   dq_mu : Mutex.t;
-  conns : (Unix.file_descr, conn) Hashtbl.t;  (* reactor thread only *)
-  mutable http : Http_endpoint.t option;
   mutable worker_threads : Thread.t list;
-  mutable stopping : bool;
   shard_lsn : int array;
       (* highest commit LSN acked per shard, router-global: a fresh
          connection's legs are seeded with these so read-your-writes
@@ -242,26 +232,15 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let listen_on host port backlog =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd backlog;
-  let bound =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (fd, bound)
-
 let create cfg ~map =
-  let listen_fd, bound_port = listen_on cfg.host cfg.port 128 in
-  let metrics_fd, metrics_bound_port =
-    match cfg.metrics_port with
-    | None -> (None, 0)
-    | Some p ->
-        let fd, bp = listen_on cfg.host p 16 in
-        (Some fd, bp)
+  let front =
+    Conn.bind
+      { Conn.label = "router"; host = cfg.host; port = cfg.port;
+        metrics_port = cfg.metrics_port; backend = cfg.backend;
+        max_sessions = cfg.max_sessions;
+        write_high_water = Reactor.Writer.default_high_water;
+        idle_timeout = 0. }
   in
-  let stop_r, stop_w = Unix.pipe () in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -269,15 +248,10 @@ let create cfg ~map =
   {
     cfg;
     map;
-    reactor = Reactor.create ?backend:cfg.backend ();
-    listen_fd;
-    bound_port;
-    metrics_fd;
-    metrics_bound_port;
+    front;
+    reactor = Conn.reactor front;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
     mu = Mutex.create ();
-    stop_r;
-    stop_w;
     wake_r;
     wake_w;
     wq = Queue.create ();
@@ -286,25 +260,20 @@ let create cfg ~map =
     wq_stop = false;
     dq = Queue.create ();
     dq_mu = Mutex.create ();
-    conns = Hashtbl.create 64;
-    http = None;
     worker_threads = [];
-    stopping = false;
     shard_lsn = Array.make k 0;
     shard_rpcs = Array.make k 0;
     shard_errors = Array.make k 0;
     partials = 0;
   }
 
-let port t = t.bound_port
-let metrics_port t = t.metrics_bound_port
+let port t = Conn.port t.front
+let metrics_port t = Conn.metrics_port t.front
 let stats t = t.st
 let map t = t.map
 let backend t = Reactor.backend t.reactor
 
-let stop t =
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error _ -> ()
+let stop t = Conn.stop t.front
 
 let metrics_doc t =
   locked t (fun () ->
@@ -732,7 +701,8 @@ let do_begin conn =
    hands a worker at most one job per connection, so conn state and
    legs are owned for the duration). Returns the frame to send, if
    any. *)
-let execute t conn id req =
+let execute t c id req =
+  let conn = Conn.state c in
   let t0 = Unix.gettimeofday () in
   let answer r = Some (Answer r) in
   let reply =
@@ -818,98 +788,29 @@ let enqueue_work t conn id req =
    before admission control cuts it off. *)
 let max_pipeline = 256
 
-(* How long undrained output may sit with no write progress before the
-   peer is declared a stalled consumer and reaped. *)
-let stall_grace = 5.0
-
 let close_legs conn =
   Array.iter (function Some l -> Failover.close l | None -> ()) conn.legs
 
-let close_conn t conn =
-  if not conn.dead then begin
-    conn.dead <- true;
-    Reactor.deregister t.reactor conn.c_fd;
-    Hashtbl.remove t.conns conn.c_fd;
-    (* Drain unread inbound bytes first: close(2) with data in the
-       receive queue makes the kernel send RST, destroying the typed
-       goodbye frame still in flight to the peer. Bounded. *)
-    (let scratch = Bytes.create 65536 in
-     let rec drain n =
-       if n > 0 then
-         match Unix.read conn.c_fd scratch 0 65536 with
-         | 0 -> ()
-         | _ -> drain (n - 1)
-         | exception Unix.Unix_error _ -> ()
-     in
-     drain 16);
-    (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-    locked t (fun () -> Server_stats.session_closed t.st);
-    (* a worker may still be running this connection's job and using
-       its legs — defer leg teardown to the completion delivery *)
-    if not conn.inflight then close_legs conn
-  end
-
-let maybe_close t conn =
+let next_job t c =
+  let s = Conn.state c in
   if
-    (not conn.dead)
-    && (conn.force_close
-       || (conn.closing && not (Reactor.Writer.has_pending conn.wr)))
-  then close_conn t conn
-
-let flush_conn t conn =
-  if not conn.dead then
-    match Reactor.Writer.flush conn.wr ~now:(Unix.gettimeofday ()) with
-    | Reactor.Writer.Drained ->
-        Reactor.set_write_interest t.reactor conn.c_fd false
-    | Reactor.Writer.Pending ->
-        Reactor.set_write_interest t.reactor conn.c_fd true
-    | Reactor.Writer.Peer_gone -> conn.force_close <- true
-
-(* Queue a frame on the connection's bounded writer. Crossing the
-   high-water mark is the slow-consumer verdict: pending requests are
-   dropped and a final typed [Overloaded] frame rides out past the
-   mark before the connection is drained-then-closed. *)
-let push_encoded t conn frame =
-  if (not conn.dead) && not conn.force_close then begin
-    if (not (Reactor.Writer.push conn.wr frame)) && not conn.closing then begin
-      Queue.clear conn.jobs;
-      conn.closing <- true;
-      locked t (fun () -> Server_stats.overloaded t.st);
-      ignore
-        (Reactor.Writer.push conn.wr
-           (Protocol.encode_response ~id:0L
-              (Protocol.Overloaded
-                 (Printf.sprintf
-                    "slow consumer: write buffer over %d bytes, closing"
-                    (Reactor.Writer.high_water conn.wr)))))
-    end;
-    flush_conn t conn
-  end
-
-let push_frame t conn id resp =
-  push_encoded t conn (Protocol.encode_response ~id resp)
-
-let next_job t conn =
-  if
-    (not conn.inflight) && (not conn.dead) && (not conn.closing)
-    && not (Queue.is_empty conn.jobs)
+    (not s.inflight) && (not (Conn.dead c)) && (not (Conn.closing c))
+    && not (Queue.is_empty s.jobs)
   then begin
-    let id, req = Queue.pop conn.jobs in
-    conn.inflight <- true;
-    enqueue_work t conn id req
+    let id, req = Queue.pop s.jobs in
+    s.inflight <- true;
+    enqueue_work t c id req
   end
 
 (* A worker finished a job: deliver the response (if the client is
    still there) and start the connection's next queued request. *)
-let deliver t (conn, resp) =
-  conn.inflight <- false;
-  if conn.dead then close_legs conn
+let deliver t (c, resp) =
+  let s = Conn.state c in
+  s.inflight <- false;
+  if Conn.dead c then close_legs s
   else begin
-    (match resp with
-    | Some frame -> push_encoded t conn frame
-    | None -> ());
-    maybe_close t conn;
-    if (not conn.dead) && not conn.closing then next_job t conn
+    Option.iter (Conn.push_frame c) resp;
+    next_job t c
   end
 
 let drain_done t =
@@ -919,161 +820,35 @@ let drain_done t =
   Mutex.unlock t.dq_mu;
   Queue.iter (fun msg -> deliver t msg) batch
 
-let record_op t req ~seconds =
-  locked t (fun () ->
-      Server_stats.record t.st ~op:(Protocol.request_op_name req) ~seconds
-        ~io:0)
-
-let handle_frame t conn payload =
-  match Protocol.decode_request payload with
-  | Result.Error e ->
-      (* a bad frame is beyond recovery: answer typed, drain, close *)
-      push_frame t conn 0L (Protocol.Error (Protocol.error_to_string e));
-      conn.closing <- true;
-      maybe_close t conn
-  | Ok (id, req) ->
-      if conn.inflight || not (Queue.is_empty conn.jobs) then
-        if Queue.length conn.jobs >= max_pipeline then begin
-          Queue.clear conn.jobs;
-          conn.closing <- true;
-          locked t (fun () -> Server_stats.overloaded t.st);
-          ignore
-            (Reactor.Writer.push conn.wr
-               (Protocol.encode_response ~id:0L
-                  (Protocol.Overloaded
-                     (Printf.sprintf "pipeline limit (%d requests) exceeded"
-                        max_pipeline))));
-          flush_conn t conn;
-          maybe_close t conn
-        end
-        else begin
-          Queue.push (id, req) conn.jobs;
-          next_job t conn
-        end
-      else begin
-        (* idle connection: cheap ops answered right here on the loop,
-           anything that talks to a shard goes to a worker *)
-        match req with
-        | Protocol.Repl_ack _ -> ()
-        | Protocol.Begin ->
-            let t0 = Unix.gettimeofday () in
-            push_frame t conn id (do_begin conn);
-            record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-        | req -> (
-            match pure_answer t req with
-            | Some resp ->
-                let t0 = Unix.gettimeofday () in
-                push_frame t conn id resp;
-                record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-            | None ->
-                conn.inflight <- true;
-                enqueue_work t conn id req)
-      end
-
-let on_readable t conn scratch =
-  match Unix.read conn.c_fd scratch 0 (Bytes.length scratch) with
-  | 0 ->
-      conn.force_close <- true;
-      maybe_close t conn
-  | n when conn.closing ->
-      (* a cut-off consumer's bytes are read and discarded so the
-         eventual close finds an empty receive queue (no RST — the
-         final typed frame must survive the trip) *)
-      ignore n
-  | n ->
-      Protocol.Framer.feed conn.framer scratch n;
-      let rec drain () =
-        if (not conn.dead) && not conn.closing then
-          match Protocol.Framer.next conn.framer with
-          | Ok None -> ()
-          | Ok (Some payload) ->
-              handle_frame t conn payload;
-              drain ()
-          | Result.Error e ->
-              push_frame t conn 0L
-                (Protocol.Error (Protocol.error_to_string e));
-              conn.closing <- true;
-              maybe_close t conn
-      in
-      drain ()
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-  | exception Unix.Unix_error _ ->
-      conn.force_close <- true;
-      maybe_close t conn
-
-let reject_connection t fd reason =
-  locked t (fun () -> Server_stats.overloaded t.st);
-  let frame = Protocol.encode_response ~id:0L (Protocol.Overloaded reason) in
-  (try ignore (Unix.write fd frame 0 (Bytes.length frame))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let admit t =
-  if Hashtbl.length t.conns >= t.cfg.max_sessions then
-    Some (Printf.sprintf "router at session limit (%d)" t.cfg.max_sessions)
-  else if
-    Reactor.backend t.reactor = Reactor.Backend.Select
-    && Reactor.fd_count t.reactor >= Reactor.Backend.select_fd_limit - 8
-  then Some "router over the select backend fd ceiling"
-  else None
-
-let rec accept_loop t scratch =
-  if not t.stopping then
-    match Unix.accept t.listen_fd with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> ()
-    | fd, _peer ->
-        (match admit t with
-        | Some reason -> reject_connection t fd reason
+let handle_request t c id req =
+  let s = Conn.state c in
+  if s.inflight || not (Queue.is_empty s.jobs) then
+    if Queue.length s.jobs >= max_pipeline then
+      Conn.overload c
+        (Printf.sprintf "pipeline limit (%d requests) exceeded" max_pipeline)
+    else begin
+      Queue.push (id, req) s.jobs;
+      next_job t c
+    end
+  else
+    (* idle connection: cheap ops answered right here on the loop,
+       anything that talks to a shard goes to a worker *)
+    let t0 = Unix.gettimeofday () in
+    match req with
+    | Protocol.Repl_ack _ -> ()
+    | req -> (
+        let answer =
+          if req = Protocol.Begin then Some (do_begin s) else pure_answer t req
+        in
+        match answer with
+        | Some resp ->
+            Conn.push_response c id resp;
+            locked t (fun () ->
+                Server_stats.record t.st ~op:(Protocol.request_op_name req)
+                  ~seconds:(Unix.gettimeofday () -. t0) ~io:0)
         | None ->
-            Unix.set_nonblock fd;
-            let conn =
-              { c_fd = fd;
-                framer = Protocol.Framer.create ();
-                wr = Reactor.Writer.create ~now:(Unix.gettimeofday ()) fd;
-                legs = Array.make (Map.shards t.map) None;
-                begun = Array.make (Map.shards t.map) false;
-                in_txn = false;
-                jobs = Queue.create ();
-                inflight = false;
-                closing = false;
-                force_close = false;
-                dead = false }
-            in
-            Hashtbl.replace t.conns fd conn;
-            locked t (fun () -> Server_stats.session_opened t.st);
-            Reactor.register t.reactor fd
-              ~readable:(fun () -> on_readable t conn scratch)
-              ~writable:(fun () ->
-                flush_conn t conn;
-                maybe_close t conn)
-              ();
-            Reactor.set_write_interest t.reactor fd false);
-        accept_loop t scratch
-
-(* Reap connections whose peer stopped reading: undrained output that
-   has made no write progress for [stall_grace] seconds. *)
-let rec housekeeping t () =
-  let now = Unix.gettimeofday () in
-  let victims =
-    Hashtbl.fold
-      (fun _ c acc ->
-        if Reactor.Writer.stalled_for c.wr ~now > stall_grace then c :: acc
-        else acc)
-      t.conns []
-  in
-  List.iter
-    (fun c ->
-      c.force_close <- true;
-      maybe_close t c)
-    victims;
-  if not t.stopping then
-    ignore (Reactor.after t.reactor 1.0 (housekeeping t))
+            s.inflight <- true;
+            enqueue_work t c id req)
 
 let drain_pipe fd =
   let buf = Bytes.create 64 in
@@ -1090,64 +865,62 @@ let drain_pipe fd =
   go ()
 
 let cleanup t =
-  Reactor.deregister t.reactor t.listen_fd;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.http with Some h -> Http_endpoint.close_all h | None -> ());
-  (match t.metrics_fd with
-  | Some m -> ( try Unix.close m with Unix.Unix_error _ -> ())
-  | None -> ());
-  (* stop the pool: workers abandon queued jobs and exit after the one
-     they are running; join before touching any connection's legs *)
+  Conn.shutdown t.front;
+  (* Stop the pool: workers abandon queued jobs and exit after the one
+     they are running. Connections with a job in the pool's hands kept
+     their legs open at close; release them once no worker can touch
+     them. *)
+  let abandoned = Queue.create () in
   Mutex.lock t.wq_mu;
   t.wq_stop <- true;
-  Queue.clear t.wq;
+  Queue.transfer t.wq abandoned;
   Condition.broadcast t.wq_cond;
   Mutex.unlock t.wq_mu;
   List.iter Thread.join t.worker_threads;
   t.worker_threads <- [];
-  (* final completions: release the inflight marks (and the legs of
-     clients that disconnected mid-request) *)
+  Queue.iter (fun (c, _, _) -> close_legs (Conn.state c)) abandoned;
   Mutex.lock t.dq_mu;
-  Queue.iter
-    (fun ((conn : conn), _) ->
-      conn.inflight <- false;
-      if conn.dead then close_legs conn)
-    t.dq;
+  Queue.iter (fun (c, _) -> close_legs (Conn.state c)) t.dq;
   Queue.clear t.dq;
   Mutex.unlock t.dq_mu;
-  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (fun c -> close_conn t c) conns;
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ t.stop_r; t.stop_w; t.wake_r; t.wake_w ]
+    [ t.wake_r; t.wake_w ]
 
 let serve t =
-  let scratch = Bytes.create 65536 in
-  Unix.set_nonblock t.listen_fd;
-  Reactor.register t.reactor t.listen_fd
-    ~readable:(fun () -> accept_loop t scratch)
-    ();
-  Reactor.register t.reactor t.stop_r
-    ~readable:(fun () ->
-      drain_pipe t.stop_r;
-      t.stopping <- true)
-    ();
+  Conn.start t.front
+    {
+      Conn.accept =
+        (fun () ->
+          let k = Map.shards t.map in
+          { legs = Array.make k None; begun = Array.make k false;
+            in_txn = false; jobs = Queue.create (); inflight = false });
+      request = handle_request t;
+      busy =
+        (fun c ->
+          let s = Conn.state c in
+          s.inflight || not (Queue.is_empty s.jobs));
+      flow_controlled = (fun _ -> false);
+      drop = (fun c -> Queue.clear (Conn.state c).jobs);
+      closed =
+        (fun c ->
+          (* a worker may still be running this connection's job and
+             using its legs — defer leg teardown to the completion
+             delivery *)
+          let s = Conn.state c in
+          if not s.inflight then close_legs s);
+      with_stats = (fun f -> locked t (fun () -> f t.st));
+      metrics_doc = (fun () -> metrics_doc t);
+    };
   Reactor.register t.reactor t.wake_r
     ~readable:(fun () ->
       drain_pipe t.wake_r;
       drain_done t)
     ();
-  (match t.metrics_fd with
-  | Some m ->
-      Unix.set_nonblock m;
-      t.http <-
-        Some
-          (Http_endpoint.attach t.reactor ~fd:m ~doc:(fun () -> metrics_doc t))
-  | None -> ());
-  ignore (Reactor.after t.reactor 1.0 (housekeeping t));
   t.worker_threads <-
     List.init (max 1 t.cfg.workers) (fun _ -> Thread.create (worker_loop t) ());
-  while not t.stopping do
-    Reactor.run_once ~max_timeout:1.0 t.reactor
+  while not (Conn.stopping t.front) do
+    Reactor.run_once ~max_timeout:1.0 t.reactor;
+    Conn.flush_dirty t.front
   done;
   cleanup t

@@ -21,9 +21,9 @@
     requests execute one at a time in arrival order; a scatter's legs
     are multiplexed on a single readiness wait ({!Client.rpc_many}),
     so a slow shard delays only that connection's merge, never a pool
-    thread per leg. Slow consumers (peers that stop reading) are cut
-    off with a typed [Overloaded] frame when their write buffer
-    crosses the high-water mark, and reaped if they stall.
+    thread per leg. Client connections follow the wire contract of
+    {!Conn}; a client pipelining more than 256 requests behind its
+    running one is cut off like a slow consumer.
 
     {2 Placement and correctness}
 

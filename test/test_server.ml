@@ -980,6 +980,38 @@ let test_slow_consumer_backpressure () =
           check Alcotest.bool "unanswered requests were dropped" true
             (!rows < 10)))
 
+(* ---- memory: reading a request allocates no buffer ---- *)
+
+(* The read path reuses one buffer per server: 5000 request/response
+   rounds on one connection must not grow the major heap by a buffer
+   per read (a 64 KiB buffer is 8192 words, so a fresh one per read
+   would add about 41 million words here). Measured with a shared
+   buffer: about 14 600 words on poll and 2 400 on select, all of it
+   promoted small blocks; the bound leaves about 7x headroom and is
+   crossed by a dozen fresh buffers. *)
+let test_reads_allocate_no_buffer () =
+  with_server (fun port _ _ ->
+      let fd = raw_connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let ping = P.encode_request ~id:1L P.Ping in
+          let round () =
+            ignore (Unix.write fd ping 0 (Bytes.length ping));
+            ignore (raw_read_frame fd)
+          in
+          for _ = 1 to 100 do
+            round ()
+          done;
+          let before = (Gc.quick_stat ()).Gc.major_words in
+          for _ = 1 to 5000 do
+            round ()
+          done;
+          let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+          check Alcotest.bool
+            (Printf.sprintf "major heap grew %.0f words" grown)
+            true (grown < 100_000.)))
+
 let raw_suite =
   [
     ( "ops",
@@ -1039,6 +1071,7 @@ let raw_suite =
         ("graceful shutdown, no data loss",
          test_graceful_shutdown_no_data_loss);
       ] );
+    ("memory", [ ("reads allocate no buffer", test_reads_allocate_no_buffer) ]);
   ]
 
 (* The whole live suite runs once per readiness backend: the poll(2)

@@ -716,6 +716,161 @@ let test_metrics_scrape_thread_bound () =
         true
         (peak <= baseline && after <= baseline))
 
+(* ---- the router's connection layer, no shards needed ---- *)
+
+(* A port nothing listens on: bound to learn it, then closed. *)
+let closed_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let p =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  Unix.close fd;
+  p
+
+(* A router whose one shard endpoint is a closed port. Admission,
+   framing and PING never dial a shard, so these tests fork nothing and
+   wait on no shard. *)
+let with_idle_router ?(max_sessions = 8) backend f =
+  let map =
+    R.Map.create ~cuts:[] ~endpoints:[ [ ("127.0.0.1", closed_port ()) ] ]
+  in
+  let router =
+    R.create
+      { R.default_config with port = 0; max_sessions; backend = Some backend }
+      ~map
+  in
+  let thread = Thread.create (fun () -> R.serve router) () in
+  Fun.protect
+    ~finally:(fun () ->
+      R.stop router;
+      Thread.join thread)
+    (fun () -> f (R.port router))
+
+(* Raw sockets time out instead of hanging when a router stops
+   answering. *)
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  fd
+
+let raw_read_frame fd =
+  let rec exact buf off len =
+    if len > 0 then begin
+      let n = Unix.read fd buf off len in
+      if n = 0 then failwith "eof";
+      exact buf (off + n) (len - n)
+    end
+  in
+  let header = Bytes.create 4 in
+  exact header 0 4;
+  let payload = Bytes.create (Int32.to_int (Bytes.get_int32_be header 0)) in
+  exact payload 0 (Bytes.length payload);
+  P.decode_response payload
+
+let with_raw port f =
+  let fd = raw_connect port in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd)
+
+let send fd frame = ignore (Unix.write fd frame 0 (Bytes.length frame))
+
+let test_router_session_limit backend () =
+  with_idle_router ~max_sessions:2 backend (fun port ->
+      with_client port (fun c1 ->
+          with_client port (fun c2 ->
+              ok (C.ping c1);
+              ok (C.ping c2);
+              with_client port (fun c3 ->
+                  match C.rpc c3 P.Ping with
+                  | P.Overloaded _ -> ()
+                  | r ->
+                      Alcotest.failf "third session admitted: %s"
+                        (response_label r));
+              ok (C.ping c1);
+              ok (C.ping c2))))
+
+let test_router_oversized_frame backend () =
+  with_idle_router backend (fun port ->
+      with_raw port (fun fd ->
+          let b = Bytes.create 4 in
+          Bytes.set_int32_be b 0 (Int32.of_int (P.max_payload + 1));
+          send fd b;
+          (match raw_read_frame fd with
+          | Ok (0L, P.Error _) -> ()
+          | _ -> Alcotest.fail "expected typed error before close");
+          match Unix.read fd (Bytes.create 1) 0 1 with
+          | 0 -> ()
+          | _ -> Alcotest.fail "router kept a desynced connection open"
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()))
+
+let test_router_malformed_payload backend () =
+  with_idle_router backend (fun port ->
+      with_raw port (fun fd ->
+          (* well-framed payload, unknown opcode 0x7f *)
+          let frame = Bytes.make (4 + 9) '\000' in
+          Bytes.set_int32_be frame 0 9l;
+          Bytes.set_uint8 frame 12 0x7f;
+          send fd frame;
+          (match raw_read_frame fd with
+          | Ok (0L, P.Error _) -> ()
+          | _ -> Alcotest.fail "expected typed error with id 0");
+          send fd (P.encode_request ~id:9L P.Ping);
+          match raw_read_frame fd with
+          | Ok (9L, P.Ack _) -> ()
+          | _ -> Alcotest.fail "connection did not survive"
+          | exception Failure _ -> Alcotest.fail "router hung up"))
+
+(* Fds numbered above select's ceiling appear only after the router
+   starts (a busy process, not a busy router): the router must refuse
+   such a client with a typed frame and keep serving the ones it has. *)
+let test_router_select_fd_ceiling () =
+  with_idle_router Reactor.Backend.Select (fun port ->
+      let low = C.connect ~deadline_ms:5000. ~port () in
+      let nulls = ref [] in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Unix.close !nulls;
+          C.close low)
+        (fun () ->
+          ok (C.ping low);
+          let rec fill () =
+            let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            nulls := fd :: !nulls;
+            if Reactor.Backend.fd_int fd <= Reactor.Backend.select_fd_limit + 8
+            then fill ()
+          in
+          (try fill ()
+           with Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ());
+          with_raw port (fun fd ->
+              match raw_read_frame fd with
+              | Ok (0L, P.Overloaded _) -> ()
+              | _ -> Alcotest.fail "expected a typed Overloaded frame");
+          ok (C.ping low)))
+
+(* Registered once per readiness backend, like test_server's live
+   suite; the backend goes in the test name because a group name longer
+   than "scatter-gather parity" would widen Alcotest's label column and
+   shorten every printed name in this suite. *)
+let wire_admission =
+  List.concat_map
+    (fun kind ->
+      let tag = Reactor.Backend.kind_to_string kind in
+      List.map
+        (fun (name, f) ->
+          Alcotest.test_case (Printf.sprintf "%s [%s]" name tag) `Quick
+            (f kind))
+        [ ("session limit", test_router_session_limit);
+          ("oversized frame", test_router_oversized_frame);
+          ("malformed payload", test_router_malformed_payload) ])
+    [ Reactor.Backend.Poll; Reactor.Backend.Select ]
+  @ [ Alcotest.test_case "select fd ceiling" `Quick
+        test_router_select_fd_ceiling ]
+
 let () =
   Alcotest.run "shard"
     [
@@ -754,4 +909,5 @@ let () =
           Alcotest.test_case "100 concurrent metrics scrapes add no threads"
             `Quick test_metrics_scrape_thread_bound;
         ] );
+      ("wire/admission", wire_admission);
     ]
